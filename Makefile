@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: verify vet lint lint-json lint-allows lint-guard build test race bench bench-fleet bench-json chaos-smoke metrics-smoke shard-smoke reshard-smoke vclock-smoke fuzz-short FORCE
+.PHONY: verify vet lint lint-json lint-allows lint-guard build test race bench bench-fleet bench-paper bench-json chaos-smoke metrics-smoke shard-smoke reshard-smoke vclock-smoke fuzz-short FORCE
 
 ## verify: the CI entry point — vet, the roamvet determinism/hygiene
 ## analyzers, build, race-enabled tests, a one-iteration fleet
-## throughput smoke (v1/v2/v3 protocol paths), the chaos differential
+## throughput smoke (v1/v2/v3 protocol paths), a short paper-pipeline
+## benchmark run checked for byte-identical output, the chaos differential
 ## suite under the race detector, the observability endpoint smoke, the
 ## sharded control-plane / WAL durability smoke, the live-reshard +
 ## WAL-compaction smoke, and the virtual-time engine smoke.
-verify: vet lint lint-guard build race bench-fleet chaos-smoke metrics-smoke shard-smoke reshard-smoke vclock-smoke
+verify: vet lint lint-guard build race bench-fleet bench-paper chaos-smoke metrics-smoke shard-smoke reshard-smoke vclock-smoke
 
 vet:
 	$(GO) vet ./...
@@ -62,6 +63,14 @@ bench:
 ## -short).
 bench-fleet:
 	$(GO) test -short -run=^$$ -bench=Fleet -benchtime=1x ./internal/fleet
+
+## bench-paper: one short untraced run of the repository benchmark's
+## paper workload (every artifact, checked byte-for-byte against a serial
+## WriteAll); fails unless the result line reports "correct":true.
+bench-paper:
+	@last=$$(bash perfbench/run.sh --workload paper --seed 1 --seconds 3 --trace 0 | tail -n 1); \
+	echo "$$last"; \
+	case "$$last" in *'"correct":true'*) ;; *) echo "bench-paper: paper workload not correct" >&2; exit 1;; esac
 
 ## bench-json: run the fleet throughput benchmark at 100/1000 MEs for
 ## v1/v2/v3 and snapshot results/s into BENCH_fleet.json (uploaded as a

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"roamsim/internal/geo"
@@ -26,53 +28,106 @@ type offersResponse struct {
 	Offers  []Plan `json:"offers"`
 }
 
+// maxCrawlPrealloc caps how many offers Crawl reserves up front from the
+// server's Total, which is outside input (the paper's full crawl is
+// 75,875 offers); past it the slice just grows.
+const maxCrawlPrealloc = 1 << 18
+
+// snapshot is one day's catalog, built at most once and read-only after.
+type snapshot struct {
+	day    string
+	once   sync.Once
+	offers []Plan
+}
+
+// offersServer serves the aggregator API from a snapshot of the last
+// requested day's catalog. Offers is a pure function of (seed, day) and
+// vantage never enters it, so every page of a day can be cut from one
+// catalog. Holding only the last day bounds memory to one catalog (the
+// handler serves arbitrary dates) and suffices for a crawl, which asks
+// for every page of one day from each vantage in turn.
+type offersServer struct {
+	m   *Marketplace
+	mux *http.ServeMux
+
+	mu   sync.Mutex
+	last *snapshot
+
+	builds atomic.Int64 // catalogs generated, for tests
+}
+
 // Handler exposes the marketplace as an HTTP API:
 //
 //	GET /v1/offers?date=2024-05-01&page=0
 //
 // The X-Vantage-Location header is echoed back but deliberately does not
-// influence pricing — the no-price-discrimination finding.
-func (m *Marketplace) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/offers", func(w http.ResponseWriter, r *http.Request) {
-		dateStr := r.URL.Query().Get("date")
-		date, err := time.Parse("2006-01-02", dateStr)
-		if err != nil {
-			http.Error(w, "bad or missing date", http.StatusBadRequest)
-			return
-		}
-		page := 0
-		if ps := r.URL.Query().Get("page"); ps != "" {
-			page, err = strconv.Atoi(ps)
-			if err != nil || page < 0 {
-				http.Error(w, "bad page", http.StatusBadRequest)
-				return
-			}
-		}
-		all := m.Offers(date)
-		pages := (len(all) + pageSize - 1) / pageSize
-		resp := offersResponse{
-			Date:    dateStr,
-			Page:    page,
-			Pages:   pages,
-			Total:   len(all),
-			Vantage: r.Header.Get("X-Vantage-Location"),
-		}
-		lo := page * pageSize
-		if lo < len(all) {
-			hi := lo + pageSize
-			if hi > len(all) {
-				hi = len(all)
-			}
-			resp.Offers = all[lo:hi]
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(resp); err != nil {
-			// Connection-level failure; nothing more to do.
-			return
-		}
+// influence pricing — the no-price-discrimination finding. The handler
+// serves every page of a day from one catalog snapshot, kept until a
+// request for another day arrives and dropped with the handler.
+func (m *Marketplace) Handler() http.Handler { return newOffersServer(m) }
+
+func newOffersServer(m *Marketplace) *offersServer {
+	s := &offersServer{m: m, mux: http.NewServeMux()}
+	s.mux.HandleFunc("/v1/offers", s.serveOffers)
+	return s
+}
+
+func (s *offersServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.mux.ServeHTTP(w, r)
+}
+
+// catalog returns the day's offers, generating them on the first request
+// for the day; concurrent first requests wait for one build. The slice is
+// shared between requests and must not be modified.
+func (s *offersServer) catalog(date time.Time) []Plan {
+	day := date.UTC().Format("2006-01-02")
+	s.mu.Lock()
+	if s.last == nil || s.last.day != day {
+		s.last = &snapshot{day: day}
+	}
+	snap := s.last
+	s.mu.Unlock()
+	snap.once.Do(func() {
+		snap.offers = s.m.Offers(date)
+		s.builds.Add(1)
 	})
-	return mux
+	return snap.offers
+}
+
+func (s *offersServer) serveOffers(w http.ResponseWriter, r *http.Request) {
+	dateStr := r.URL.Query().Get("date")
+	date, err := time.Parse("2006-01-02", dateStr)
+	if err != nil {
+		http.Error(w, "bad or missing date", http.StatusBadRequest)
+		return
+	}
+	page := 0
+	if ps := r.URL.Query().Get("page"); ps != "" {
+		page, err = strconv.Atoi(ps)
+		if err != nil || page < 0 {
+			http.Error(w, "bad page", http.StatusBadRequest)
+			return
+		}
+	}
+	all := s.catalog(date)
+	pages := (len(all) + pageSize - 1) / pageSize
+	resp := offersResponse{
+		Date:    dateStr,
+		Page:    page,
+		Pages:   pages,
+		Total:   len(all),
+		Vantage: r.Header.Get("X-Vantage-Location"),
+	}
+	// Compare before multiplying: page*pageSize overflows for huge pages.
+	if page < pages {
+		lo := page * pageSize
+		resp.Offers = all[lo:min(lo+pageSize, len(all))]
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(resp); err != nil {
+		// Connection-level failure; nothing more to do.
+		return
+	}
 }
 
 // Crawler retrieves full daily catalogs from an aggregator API, as the
@@ -92,29 +147,12 @@ func (c *Crawler) Crawl(date time.Time) ([]Plan, error) {
 	var out []Plan
 	for page := 0; ; page++ {
 		url := fmt.Sprintf("%s/v1/offers?date=%s&page=%d", c.BaseURL, date.UTC().Format("2006-01-02"), page)
-		req, err := http.NewRequest(http.MethodGet, url, nil)
+		resp, err := c.fetch(client, url)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("esimdb: page %d: %w", page, err)
 		}
-		if c.Vantage != "" {
-			req.Header.Set("X-Vantage-Location", c.Vantage)
-		}
-		httpResp, err := client.Do(req)
-		if err != nil {
-			return nil, fmt.Errorf("esimdb: crawl page %d: %w", page, err)
-		}
-		var resp offersResponse
-		err = json.NewDecoder(httpResp.Body).Decode(&resp)
-		// Drain whatever the decoder left (bounded) before closing so
-		// the connection returns to the keep-alive pool: a daily crawl
-		// is thousands of pages over the same three vantage origins.
-		io.Copy(io.Discard, io.LimitReader(httpResp.Body, 256<<10))
-		httpResp.Body.Close()
-		if err != nil {
-			return nil, fmt.Errorf("esimdb: decode page %d: %w", page, err)
-		}
-		if httpResp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("esimdb: page %d: HTTP %d", page, httpResp.StatusCode)
+		if page == 0 {
+			out = make([]Plan, 0, min(max(resp.Total, 0), maxCrawlPrealloc))
 		}
 		out = append(out, resp.Offers...)
 		if page >= resp.Pages-1 {
@@ -122,6 +160,37 @@ func (c *Crawler) Crawl(date time.Time) ([]Plan, error) {
 		}
 	}
 	return out, nil
+}
+
+// fetch GETs and decodes one page. A non-200 status is reported as such
+// before any decoding.
+func (c *Crawler) fetch(client *http.Client, url string) (offersResponse, error) {
+	var resp offersResponse
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		return resp, err
+	}
+	if c.Vantage != "" {
+		req.Header.Set("X-Vantage-Location", c.Vantage)
+	}
+	httpResp, err := client.Do(req)
+	if err != nil {
+		return resp, err
+	}
+	defer func() {
+		// Drain whatever the decoder left (bounded) before closing so
+		// the connection returns to the keep-alive pool: a 54-provider
+		// daily crawl is ~120 pages per vantage, one request each.
+		io.Copy(io.Discard, io.LimitReader(httpResp.Body, 256<<10))
+		httpResp.Body.Close()
+	}()
+	if httpResp.StatusCode != http.StatusOK {
+		return resp, fmt.Errorf("HTTP %d", httpResp.StatusCode)
+	}
+	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
+		return resp, fmt.Errorf("decode: %w", err)
+	}
+	return resp, nil
 }
 
 // --- Snapshot analysis helpers (Figures 16-19) ---

@@ -181,7 +181,11 @@ func timeDrift(ct geo.Continent, date time.Time) float64 {
 // day twice yields identical offers, and vantage location never enters.
 func (m *Marketplace) Offers(date time.Time) []Plan {
 	day := date.UTC().Format("2006-01-02")
-	var out []Plan
+	n := 0
+	for _, p := range m.providers {
+		n += len(m.providerCountry[p.Name]) * p.PlansPerCountry
+	}
+	out := make([]Plan, 0, n)
 	for _, p := range m.providers {
 		src := rng.New(m.seed).Fork("offers/" + p.Name + "/" + day)
 		for _, c := range m.countries {

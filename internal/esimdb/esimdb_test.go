@@ -1,8 +1,12 @@
 package esimdb
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +15,10 @@ import (
 )
 
 func market() *Marketplace { return New(42, 54) }
+
+// smallMarket still spans several pages per day but keeps crawls (and
+// a rebuild per page, where a test provokes one) cheap under -race.
+func smallMarket() *Marketplace { return New(42, 8) }
 
 func TestProvidersCount(t *testing.T) {
 	m := market()
@@ -227,6 +235,23 @@ func TestCrawlerBadRequests(t *testing.T) {
 	if resp.StatusCode != 400 {
 		t.Errorf("negative page should 400, got %d", resp.StatusCode)
 	}
+	// Pages past the end, including ones whose offset overflows an int,
+	// are an empty 200 rather than a handler panic.
+	for _, page := range []string{"100000", "46116860184273880", "9223372036854775807"} {
+		resp, err := srv.Client().Get(srv.URL + "/v1/offers?date=2024-05-01&page=" + page)
+		if err != nil {
+			t.Fatalf("page=%s: %v", page, err)
+		}
+		var body offersResponse
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 || err != nil {
+			t.Fatalf("page=%s: status %d, decode error %v", page, resp.StatusCode, err)
+		}
+		if len(body.Offers) != 0 || body.Total == 0 {
+			t.Errorf("page=%s: got %d offers of %d, want an empty page", page, len(body.Offers), body.Total)
+		}
+	}
 }
 
 func TestLocalSIMOffers(t *testing.T) {
@@ -281,15 +306,27 @@ func TestAiraloPlanCount(t *testing.T) {
 }
 
 func TestCrawlerServerFailure(t *testing.T) {
-	// A failing aggregator (HTTP 500) must surface as an error, not a
-	// silent empty catalog.
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "internal", http.StatusInternalServerError)
-	}))
-	defer srv.Close()
-	c := &Crawler{BaseURL: srv.URL}
-	if _, err := c.Crawl(SnapshotDate); err == nil {
-		t.Error("500 response should produce an error")
+	// A failing aggregator must surface as an error naming the HTTP
+	// status, not a silent empty catalog or a JSON decode error.
+	for _, tc := range []struct {
+		name    string
+		handler http.Handler
+		want    string
+	}{
+		{"500", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "internal", http.StatusInternalServerError)
+		}), "HTTP 500"},
+		{"404", http.NotFoundHandler(), "HTTP 404"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(tc.handler)
+			defer srv.Close()
+			c := &Crawler{BaseURL: srv.URL}
+			_, err := c.Crawl(SnapshotDate)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error = %v, want one naming %s", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -369,4 +406,177 @@ func TestPlanTrip(t *testing.T) {
 		t.Logf("note: eSIM total %.2f vs local %.2f (direction can vary by seed)",
 			tc.ESIMTotalUSD, tc.LocalTotalUSD)
 	}
+}
+
+// crawlDays returns n distinct dates, a week apart from campaign start.
+func crawlDays(n int) []time.Time {
+	days := make([]time.Time, n)
+	for i := range days {
+		days[i] = CampaignStart.AddDate(0, 0, 7*i)
+	}
+	return days
+}
+
+// snapshotCapacity is how many day catalogs an offersServer may hold.
+const snapshotCapacity = 1
+
+// retained reports how many day snapshots the server holds.
+func (s *offersServer) retained() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.last == nil {
+		return 0
+	}
+	return 1
+}
+
+func TestSnapshotBuildsOncePerDay(t *testing.T) {
+	m := smallMarket()
+	s := newOffersServer(m)
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	c := &Crawler{BaseURL: srv.URL, Vantage: "Madrid"}
+	crawl := func(d time.Time) {
+		t.Helper()
+		got, err := c.Crawl(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) <= pageSize {
+			t.Fatalf("catalog of %d offers fits one page; the test needs several", len(got))
+		}
+		if !slices.Equal(got, m.Offers(d)) {
+			t.Fatalf("crawl of %s differs from Offers", d.Format("2006-01-02"))
+		}
+	}
+	// One more day than the server retains, so the first is evicted.
+	days := crawlDays(snapshotCapacity + 1)
+	for i, d := range days {
+		crawl(d)
+		if got := s.builds.Load(); got != int64(i+1) {
+			t.Fatalf("after %d crawls: %d catalog builds, want one per crawl", i+1, got)
+		}
+		if got, want := s.retained(), min(i+1, snapshotCapacity); got != want {
+			t.Fatalf("after %d crawls: %d snapshots retained, want %d", i+1, got, want)
+		}
+	}
+	// A retained day is served again without a rebuild...
+	crawl(days[len(days)-1])
+	if got := s.builds.Load(); got != int64(len(days)) {
+		t.Errorf("re-crawling a retained day rebuilt it: %d builds", got)
+	}
+	// ...and an evicted day is rebuilt, identically.
+	crawl(days[0])
+	if got := s.builds.Load(); got != int64(len(days)+1) {
+		t.Errorf("re-crawling an evicted day: %d builds, want %d", got, len(days)+1)
+	}
+	if got := s.retained(); got != snapshotCapacity {
+		t.Errorf("%d snapshots retained, want %d", got, snapshotCapacity)
+	}
+}
+
+func TestSnapshotConcurrentSameDay(t *testing.T) {
+	m := smallMarket()
+	s := newOffersServer(m)
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	want := m.Offers(SnapshotDate)
+	var wg sync.WaitGroup
+	for _, vantage := range []string{"Madrid", "Abu Dhabi", "New Jersey", "Madrid"} {
+		wg.Add(1)
+		go func(vantage string) {
+			defer wg.Done()
+			got, err := (&Crawler{BaseURL: srv.URL, Vantage: vantage}).Crawl(SnapshotDate)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s crawl differs from Offers", vantage)
+			}
+		}(vantage)
+	}
+	wg.Wait()
+	if got := s.builds.Load(); got != 1 {
+		t.Errorf("concurrent crawls of one day built its catalog %d times, want 1", got)
+	}
+}
+
+func TestSnapshotConcurrentDays(t *testing.T) {
+	// More distinct days than the server retains, crawled at once: the
+	// snapshots thrash, but every crawl must still match Offers and the
+	// retained set must stay within its bound.
+	m := smallMarket()
+	s := newOffersServer(m)
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	days := crawlDays(snapshotCapacity + 2)
+	var wg sync.WaitGroup
+	for _, vantage := range []string{"Madrid", "Abu Dhabi", "New Jersey"} {
+		for _, d := range days {
+			wg.Add(1)
+			go func(vantage string, d time.Time) {
+				defer wg.Done()
+				got, err := (&Crawler{BaseURL: srv.URL, Vantage: vantage}).Crawl(d)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(got, m.Offers(d)) {
+					t.Errorf("%s crawl of %s differs from Offers", vantage, d.Format("2006-01-02"))
+				}
+				if n := s.retained(); n > snapshotCapacity {
+					t.Errorf("%d snapshots retained, bound is %d", n, snapshotCapacity)
+				}
+			}(vantage, d)
+		}
+	}
+	wg.Wait()
+	if n := s.retained(); n > snapshotCapacity {
+		t.Errorf("%d snapshots retained, bound is %d", n, snapshotCapacity)
+	}
+}
+
+func TestOffersIsCallerOwned(t *testing.T) {
+	// Serving from a snapshot must not hand out the snapshot itself:
+	// Offers returns a fresh slice each call.
+	m := market()
+	s := newOffersServer(m)
+	served := s.catalog(SnapshotDate)
+	a := m.Offers(SnapshotDate)
+	a[0].PriceUSD = -1
+	if served[0].PriceUSD == -1 || m.Offers(SnapshotDate)[0].PriceUSD == -1 {
+		t.Fatal("Offers shares its backing array")
+	}
+	if len(a) != cap(a) {
+		t.Errorf("Offers reserved %d for %d offers, want an exact size", cap(a), len(a))
+	}
+}
+
+// BenchmarkMarketplacePage serves one catalog page through Handler:
+// warm from a retained snapshot, cold including the day's catalog build.
+func BenchmarkMarketplacePage(b *testing.B) {
+	m := market()
+	serve := func(b *testing.B, h http.Handler) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/offers?date=2024-05-01&page=3", nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d", rec.Code)
+		}
+	}
+	b.Run("warm", func(b *testing.B) {
+		h := m.Handler()
+		serve(b, h)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serve(b, h)
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			serve(b, m.Handler())
+		}
+	})
 }
