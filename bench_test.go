@@ -488,6 +488,28 @@ func BenchmarkCampaignParallel(b *testing.B) {
 	benchCampaign(b, runtime.GOMAXPROCS(0))
 }
 
+// ---- Whole paper pipeline ----
+
+// BenchmarkWriteAll regenerates every artifact the way roam-experiments
+// -out does: a fresh runner at the paper's campaign sizes on a warm
+// world, its campaigns, then WriteAll, serially and on the full pool.
+func BenchmarkWriteAll(b *testing.B) {
+	w := campaignBenchWorld(b)
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := DefaultExperimentConfig()
+			cfg.Workers = workers
+			for i := 0; i < b.N; i++ {
+				files, err := NewExperimentRunnerWith(w, cfg).WriteAll(b.TempDir())
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(len(files)), "files/op")
+			}
+		})
+	}
+}
+
 // ---- Routing fast path ----
 
 // benchRouteNetwork builds a frozen 40x40 grid (1600 nodes, ~3100

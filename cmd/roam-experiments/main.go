@@ -29,7 +29,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	quick := flag.Bool("quick", false, "smaller campaigns (faster, noisier)")
 	out := flag.String("out", "", "export every artifact (txt+csv) into this directory and exit")
-	workers := flag.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
+	workers := flag.Int("workers", 0, "worker pool size for the campaigns and, with -out, the artifacts (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
 	flag.Parse()
 
 	cfg := experiments.DefaultConfig()

@@ -182,8 +182,10 @@ func Build(seed int64) (*World, error) {
 	// every query — Attach*, PathTo, routing, the measurement tools — is
 	// safe for concurrent use, provided each goroutine gets its own
 	// rng.Source (see internal/rng). GTP state and the IP registry have
-	// their own locks; the one remaining world-level mutation,
-	// Net.SetLoadModel, stays legal after Freeze.
+	// their own locks. Net.SetLoadModel stays legal after Freeze but
+	// changes what every concurrent RTT and throughput query measures,
+	// so a world shared between goroutines must not have it set; build a
+	// world of one's own to measure under load.
 	w.Net.Freeze()
 	return w, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -28,10 +29,10 @@ type offersResponse struct {
 	Offers  []Plan `json:"offers"`
 }
 
-// maxCrawlPrealloc caps how many offers Crawl reserves up front from the
-// server's Total, which is outside input (the paper's full crawl is
-// 75,875 offers); past it the slice just grows.
-const maxCrawlPrealloc = 1 << 18
+// maxCrawlPages caps the page count Crawl accepts from page 0. The count
+// is outside input and Crawl allocates per-page state from it; the
+// paper's full crawl is 75,875 offers, 380 pages.
+const maxCrawlPages = 1 << 14
 
 // snapshot is one day's catalog, built at most once and read-only after.
 type snapshot struct {
@@ -138,28 +139,82 @@ type Crawler struct {
 	Client  *http.Client
 }
 
-// Crawl fetches every page of the catalog for one date.
+// Crawl fetches every page of the catalog for one date: page 0 first,
+// which sizes the crawl, then the rest on at most GOMAXPROCS concurrent
+// workers. Offers are returned in page order. A day's catalog is
+// immutable, so a page whose page count or total disagrees with page 0's
+// means a mixed crawl and fails it. After the first failure no further
+// pages are requested, and the error names the lowest failing page.
 func (c *Crawler) Crawl(date time.Time) ([]Plan, error) {
 	client := c.Client
 	if client == nil {
 		client = http.DefaultClient
 	}
-	var out []Plan
-	for page := 0; ; page++ {
-		url := fmt.Sprintf("%s/v1/offers?date=%s&page=%d", c.BaseURL, date.UTC().Format("2006-01-02"), page)
-		resp, err := c.fetch(client, url)
-		if err != nil {
-			return nil, fmt.Errorf("esimdb: page %d: %w", page, err)
+	day := date.UTC().Format("2006-01-02")
+	url := func(page int) string {
+		return fmt.Sprintf("%s/v1/offers?date=%s&page=%d", c.BaseURL, day, page)
+	}
+	first, err := c.fetch(client, url(0))
+	if err != nil {
+		return nil, fmt.Errorf("esimdb: page 0: %w", err)
+	}
+	if first.Pages < 0 || first.Pages > maxCrawlPages || first.Total < 0 {
+		return nil, fmt.Errorf("esimdb: page 0 claims %d pages of %d offers; a crawl takes at most %d pages",
+			first.Pages, first.Total, maxCrawlPages)
+	}
+	// rest[i] and errs[i] belong to page i+1.
+	rest := make([][]Plan, max(first.Pages-1, 0))
+	errs := make([]error, len(rest))
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(rest)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(rest) {
+					return
+				}
+				resp, err := c.fetch(client, url(i+1))
+				if err == nil && (resp.Pages != first.Pages || resp.Total != first.Total) {
+					err = fmt.Errorf("catalog changed mid-crawl: %d pages of %d offers, page 0 said %d of %d",
+						resp.Pages, resp.Total, first.Pages, first.Total)
+				}
+				if err != nil {
+					errs[i] = err
+					failed.Store(true)
+					return
+				}
+				rest[i] = resp.Offers
+			}
+		}()
+	}
+	wg.Wait()
+	n := len(first.Offers)
+	for i, page := range rest {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("esimdb: page %d: %w", i+1, errs[i])
 		}
-		if page == 0 {
-			out = make([]Plan, 0, min(max(resp.Total, 0), maxCrawlPrealloc))
-		}
-		out = append(out, resp.Offers...)
-		if page >= resp.Pages-1 {
-			break
-		}
+		n += len(page)
+	}
+	out := make([]Plan, 0, n)
+	out = append(out, first.Offers...)
+	for _, page := range rest {
+		out = append(out, page...)
 	}
 	return out, nil
+}
+
+// NewClient returns an HTTP client for crawling one aggregator: its
+// transport keeps an idle connection for each of Crawl's workers, where
+// http.DefaultClient keeps two, so concurrent pages reuse connections
+// instead of dialling. Close it with CloseIdleConnections when done.
+func NewClient() *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = runtime.GOMAXPROCS(0)
+	return &http.Client{Transport: t}
 }
 
 // fetch GETs and decodes one page. A non-200 status is reported as such

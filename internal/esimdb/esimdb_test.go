@@ -2,11 +2,15 @@ package esimdb
 
 import (
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -305,28 +309,183 @@ func TestAiraloPlanCount(t *testing.T) {
 	}
 }
 
+// setProcs sets GOMAXPROCS, and with it Crawl's worker count, for one
+// test: the concurrency tests need several workers on any host.
+func setProcs(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// fakeCatalog serves a catalog of n one-offer pages; edit may rewrite a
+// page's response or fail it with an HTTP status.
+func fakeCatalog(n int, edit func(page int, resp *offersResponse) (status int)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		page, _ := strconv.Atoi(r.URL.Query().Get("page"))
+		resp := offersResponse{Page: page, Pages: n, Total: n, Offers: []Plan{{Provider: "p", Country: "ESP", SizeGB: 1, PriceUSD: float64(page)}}}
+		if status := edit(page, &resp); status != 0 {
+			http.Error(w, "failed", status)
+			return
+		}
+		json.NewEncoder(w).Encode(resp)
+	})
+}
+
 func TestCrawlerServerFailure(t *testing.T) {
-	// A failing aggregator must surface as an error naming the HTTP
-	// status, not a silent empty catalog or a JSON decode error.
+	// A failing or inconsistent aggregator must surface as an error
+	// naming the page and the fault, not a silent partial catalog, and
+	// the crawl must stop requesting pages once one has failed.
+	const procs = 4
+	setProcs(t, procs)
+	page6Failed := make(chan struct{})
 	for _, tc := range []struct {
 		name    string
 		handler http.Handler
 		want    string
+		// maxRequests bounds the pages requested, when non-zero.
+		maxRequests int64
 	}{
 		{"500", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "internal", http.StatusInternalServerError)
-		}), "HTTP 500"},
-		{"404", http.NotFoundHandler(), "HTTP 404"},
+		}), "page 0: HTTP 500", 1},
+		{"404", http.NotFoundHandler(), "page 0: HTTP 404", 1},
+		{"page count too large", fakeCatalog(1, func(_ int, resp *offersResponse) int {
+			resp.Pages, resp.Total = 1<<40, 1<<47
+			return 0
+		}), "page 0 claims 1099511627776 pages", 1},
+		{"negative page count", fakeCatalog(1, func(_ int, resp *offersResponse) int {
+			resp.Pages = -1
+			return 0
+		}), "page 0 claims -1 pages", 1},
+		{"page count changes mid-crawl", fakeCatalog(50, func(page int, resp *offersResponse) int {
+			if page == 7 {
+				resp.Pages = 51
+			}
+			return 0
+		}), "page 7: catalog changed mid-crawl: 51 pages of 50 offers", 0},
+		{"total changes mid-crawl", fakeCatalog(50, func(page int, resp *offersResponse) int {
+			if page == 3 {
+				resp.Total = 49
+			}
+			return 0
+		}), "page 3: catalog changed mid-crawl: 50 pages of 49 offers", 0},
+		// Pages already claimed finish; no worker claims another.
+		{"failure stops the crawl", fakeCatalog(1000, func(page int, _ *offersResponse) int {
+			if page == 3 {
+				return http.StatusServiceUnavailable
+			}
+			return 0
+		}), "page 3: HTTP 503", 4 + 2*procs},
+		// Page 5 is held until page 6 has failed: the error still
+		// names page 5.
+		{"lowest failing page", fakeCatalog(1000, func(page int, _ *offersResponse) int {
+			switch {
+			case page == 5:
+				select {
+				case <-page6Failed:
+				case <-time.After(30 * time.Second):
+				}
+				return http.StatusInternalServerError
+			case page == 6:
+				defer close(page6Failed)
+				return http.StatusInternalServerError
+			case page > 6:
+				return http.StatusInternalServerError
+			}
+			return 0
+		}), "page 5: HTTP 500", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := httptest.NewServer(tc.handler)
+			var requests atomic.Int64
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				requests.Add(1)
+				tc.handler.ServeHTTP(w, r)
+			}))
 			defer srv.Close()
 			c := &Crawler{BaseURL: srv.URL}
-			_, err := c.Crawl(SnapshotDate)
+			plans, err := c.Crawl(SnapshotDate)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error = %v, want one naming %s", err, tc.want)
+				t.Errorf("error = %v, want one containing %q", err, tc.want)
+			}
+			if plans != nil {
+				t.Errorf("failed crawl returned %d offers", len(plans))
+			}
+			if n := requests.Load(); tc.maxRequests > 0 && n > tc.maxRequests {
+				t.Errorf("%d pages requested, want at most %d", n, tc.maxRequests)
 			}
 		})
+	}
+}
+
+// TestCrawlPagesOutOfOrder forces pages to complete out of order: the
+// server holds page 1 until the last page has been served. The crawl must
+// still return the catalog in page order.
+func TestCrawlPagesOutOfOrder(t *testing.T) {
+	setProcs(t, 4)
+	m := smallMarket()
+	want := m.Offers(SnapshotDate)
+	last := (len(want) - 1) / pageSize
+	if last < 3 {
+		t.Fatalf("catalog of %d offers has too few pages", len(want))
+	}
+	h := m.Handler()
+	lastServed := make(chan struct{})
+	var held atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Query().Get("page") {
+		case "1":
+			select {
+			case <-lastServed:
+				held.Store(true)
+			case <-time.After(30 * time.Second):
+			}
+		case strconv.Itoa(last):
+			defer close(lastServed)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	got, err := (&Crawler{BaseURL: srv.URL, Vantage: "Madrid"}).Crawl(SnapshotDate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !held.Load() {
+		t.Error("the last page was not served while page 1 was held")
+	}
+	if !slices.Equal(got, want) {
+		t.Error("out-of-order crawl differs from Offers")
+	}
+}
+
+// TestCrawlerReusesConnections: with NewClient, a crawl's workers keep
+// their connections alive, so a server sees at most one new connection
+// per worker per crawl.
+func TestCrawlerReusesConnections(t *testing.T) {
+	const procs = 4
+	setProcs(t, procs)
+	m := market()
+	srv := httptest.NewUnstartedServer(m.Handler())
+	var conns atomic.Int64
+	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	client := NewClient()
+	defer client.CloseIdleConnections()
+	days := crawlDays(3)
+	for _, d := range days {
+		got, err := (&Crawler{BaseURL: srv.URL, Vantage: "Madrid", Client: client}).Crawl(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) <= procs*pageSize {
+			t.Fatalf("catalog of %d offers is too small to keep %d workers busy", len(got), procs)
+		}
+	}
+	if n, limit := conns.Load(), int64(procs*len(days)); n > limit {
+		t.Errorf("%d connections for %d crawls on %d workers, want at most %d", n, len(days), procs, limit)
 	}
 }
 

@@ -17,6 +17,11 @@
 // (Config.Workers, default GOMAXPROCS); see parallel.go. Observations
 // are merged back in canonical unit order, so the memoized datasets are
 // byte-identical no matter the worker count or GOMAXPROCS.
+//
+// WriteAll runs the artifacts themselves on the same pool, one job per
+// artifact, and lists their files in canonical artifact order. Artifacts
+// share the runner's world read-only; one that needs to change it, like
+// Confounders' load model, builds a world of its own.
 package experiments
 
 import (
@@ -42,9 +47,10 @@ type Config struct {
 	VideosPerCountry     int // per (country, config)
 	WebMeasurements      int // per web-campaign country
 
-	// Workers bounds the campaign worker pool. 0 (the default) means
-	// GOMAXPROCS at campaign time; 1 forces serial execution. Results
-	// are identical for every value — see the package doc.
+	// Workers bounds the worker pool that runs each campaign's units
+	// and WriteAll's artifacts. 0 (the default) means GOMAXPROCS at call
+	// time; 1 forces serial execution. Results are identical for every
+	// value — see the package doc.
 	Workers int
 }
 

@@ -12,148 +12,175 @@ import (
 // aligned text table (.txt) and CSV (.csv) under dir, returning the
 // list of files written. It is the library-level equivalent of running
 // `roam-experiments -exp all` twice with and without -csv.
+//
+// The artifacts run concurrently on the Config.Workers pool, each
+// recording its files in its own slot; the list is concatenated in the
+// canonical order below, so files and list are identical for every
+// worker count. If artifacts fail, the error is the earliest failing
+// one's in that order, returned with every file that was written.
 func (r *Runner) WriteAll(dir string) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	var written []string
-	put := func(name string, t *report.Table) error {
-		txt := filepath.Join(dir, name+".txt")
-		if err := os.WriteFile(txt, []byte(t.String()), 0o644); err != nil {
-			return err
-		}
-		csv := filepath.Join(dir, name+".csv")
-		if err := os.WriteFile(csv, []byte(t.CSV()), 0o644); err != nil {
-			return err
-		}
-		written = append(written, txt, csv)
-		return nil
+	tab := func(name string, f func() (*report.Table, error)) exportJob {
+		return exportJob{name, func(o *artifactFiles) error {
+			t, err := f()
+			if err != nil {
+				return err
+			}
+			return o.put(name, t)
+		}}
 	}
-	putSeries := func(name string, s []report.Series) error {
-		p := filepath.Join(dir, name+".csv")
-		if err := os.WriteFile(p, []byte(report.SeriesCSV(s)), 0o644); err != nil {
-			return err
-		}
-		written = append(written, p)
-		return nil
-	}
-
-	type job struct {
-		name string
-		run  func() error
-	}
-	jobs := []job{
-		{"table2", func() error { t, err := r.Table2(); return putOr(err, "table2", t, put) }},
-		{"table3", func() error { t, err := r.Table3(); return putOr(err, "table3", t, put) }},
-		{"table4", func() error { t, err := r.Table4(); return putOr(err, "table4", t, put) }},
-		{"fig3", func() error { t, err := r.Figure3(); return putOr(err, "fig3", t, put) }},
-		{"fig4", func() error { t, err := r.Figure4(); return putOr(err, "fig4", t, put) }},
-		{"fig5", func() error {
+	jobs := []exportJob{
+		tab("table2", r.Table2),
+		tab("table3", r.Table3),
+		tab("table4", r.Table4),
+		tab("fig3", r.Figure3),
+		tab("fig4", r.Figure4),
+		{"fig5", func(o *artifactFiles) error {
 			res, err := r.Figure5()
 			if err != nil {
 				return err
 			}
-			return put("fig5", res.Table)
+			return o.put("fig5", res.Table)
 		}},
-		{"fig6", func() error { t, err := r.Figure6(); return putOr(err, "fig6", t, put) }},
-		{"fig7", func() error { t, err := r.Figure7(); return putOr(err, "fig7", t, put) }},
-		{"fig8", func() error {
+		tab("fig6", r.Figure6),
+		tab("fig7", r.Figure7),
+		{"fig8", func(o *artifactFiles) error {
 			res, err := r.Figure8()
 			if err != nil {
 				return err
 			}
-			return putSeries("fig8_cdf", res.Series)
+			return o.putSeries("fig8_cdf", res.Series)
 		}},
-		{"fig9", func() error {
+		{"fig9", func(o *artifactFiles) error {
 			res, err := r.Figure9()
 			if err != nil {
 				return err
 			}
-			return putSeries("fig9_cdf", res.Series)
+			return o.putSeries("fig9_cdf", res.Series)
 		}},
-		{"fig10", func() error { t, err := r.Figure10(); return putOr(err, "fig10", t, put) }},
-		{"fig11", func() error {
+		tab("fig10", r.Figure10),
+		{"fig11", func(o *artifactFiles) error {
 			res, err := r.Figure11()
 			if err != nil {
 				return err
 			}
-			return put("fig11", res.Table)
+			return o.put("fig11", res.Table)
 		}},
-		{"fig12", func() error {
+		{"fig12", func(o *artifactFiles) error {
 			res, err := r.Figure12()
 			if err != nil {
 				return err
 			}
-			return putSeries("fig12_cdf", res.Series)
+			return o.putSeries("fig12_cdf", res.Series)
 		}},
-		{"fig13", func() error {
+		{"fig13", func(o *artifactFiles) error {
 			res, err := r.Figure13()
 			if err != nil {
 				return err
 			}
-			if err := put("fig13a_web", res.WebTable); err != nil {
+			if err := o.put("fig13a_web", res.WebTable); err != nil {
 				return err
 			}
-			return put("fig13bc_device", res.DeviceTable)
+			return o.put("fig13bc_device", res.DeviceTable)
 		}},
-		{"fig14a", func() error {
+		{"fig14a", func(o *artifactFiles) error {
 			res, err := r.Figure14a()
 			if err != nil {
 				return err
 			}
-			return put("fig14a", res.Table)
+			return o.put("fig14a", res.Table)
 		}},
-		{"fig14b", func() error {
+		{"fig14b", func(o *artifactFiles) error {
 			res, err := r.Figure14b()
 			if err != nil {
 				return err
 			}
-			return put("fig14b", res.Table)
+			return o.put("fig14b", res.Table)
 		}},
-		{"fig15", func() error { t, err := r.Figure15(); return putOr(err, "fig15", t, put) }},
-		{"fig16", func() error { t, err := r.Figure16(); return putOr(err, "fig16", t, put) }},
-		{"fig17", func() error {
+		tab("fig15", r.Figure15),
+		tab("fig16", r.Figure16),
+		{"fig17", func(o *artifactFiles) error {
 			res, err := r.Figure17()
 			if err != nil {
 				return err
 			}
-			return put("fig17", res.Table)
+			return o.put("fig17", res.Table)
 		}},
-		{"fig18", func() error { t, err := r.Figure18(); return putOr(err, "fig18", t, put) }},
-		{"fig19", func() error { t, err := r.Figure19(); return putOr(err, "fig19", t, put) }},
-		{"fig20", func() error {
+		tab("fig18", r.Figure18),
+		tab("fig19", r.Figure19),
+		{"fig20", func(o *artifactFiles) error {
 			tabs, err := r.Figure20()
 			if err != nil {
 				return err
 			}
 			for i, t := range tabs {
-				if err := put(fmt.Sprintf("fig20_%d", i+1), t); err != nil {
+				if err := o.put(fmt.Sprintf("fig20_%d", i+1), t); err != nil {
 					return err
 				}
 			}
 			return nil
 		}},
-		{"validation", func() error { t, err := r.Validation(); return putOr(err, "validation", t, put) }},
-		{"ablation_pgw", func() error { t, err := r.AblationPGWSelection(); return putOr(err, "ablation_pgw", t, put) }},
-		{"ablation_policy", func() error { t, err := r.AblationPolicyCaps(); return putOr(err, "ablation_policy", t, put) }},
-		{"ablation_peering", func() error { t, err := r.AblationPeering(); return putOr(err, "ablation_peering", t, put) }},
-		{"ablation_lbo", func() error { t, err := r.AblationLBO(); return putOr(err, "ablation_lbo", t, put) }},
-		{"voip", func() error { t, err := r.FutureVoIP(); return putOr(err, "voip", t, put) }},
-		{"jurisdiction", func() error { t, err := r.DiscussionJurisdiction(); return putOr(err, "jurisdiction", t, put) }},
-		{"confounders", func() error { t, err := r.Confounders(); return putOr(err, "confounders", t, put) }},
-		{"signaling", func() error { t, err := r.SignalingBreakdown(); return putOr(err, "signaling", t, put) }},
+		tab("validation", r.Validation),
+		tab("ablation_pgw", r.AblationPGWSelection),
+		tab("ablation_policy", r.AblationPolicyCaps),
+		tab("ablation_peering", r.AblationPeering),
+		tab("ablation_lbo", r.AblationLBO),
+		tab("voip", r.FutureVoIP),
+		tab("jurisdiction", r.DiscussionJurisdiction),
+		tab("confounders", r.Confounders),
+		tab("signaling", r.SignalingBreakdown),
 	}
-	for _, j := range jobs {
-		if err := j.run(); err != nil {
-			return written, fmt.Errorf("experiments: export %s: %w", j.name, err)
+	outs := make([]artifactFiles, len(jobs))
+	errs := make([]error, len(jobs))
+	runParallel(r.Cfg.workers(), len(jobs), func(i int) {
+		outs[i].dir = dir
+		errs[i] = jobs[i].run(&outs[i])
+	})
+	var written []string
+	var first error
+	for i, j := range jobs {
+		written = append(written, outs[i].files...)
+		if errs[i] != nil && first == nil {
+			first = fmt.Errorf("experiments: export %s: %w", j.name, errs[i])
 		}
 	}
-	return written, nil
+	return written, first
 }
 
-func putOr(err error, name string, t *report.Table, put func(string, *report.Table) error) error {
-	if err != nil {
+// exportJob produces one artifact's files.
+type exportJob struct {
+	name string
+	run  func(o *artifactFiles) error
+}
+
+// artifactFiles writes one artifact's files under dir and lists them.
+type artifactFiles struct {
+	dir   string
+	files []string
+}
+
+// put writes a table as name.txt and name.csv.
+func (o *artifactFiles) put(name string, t *report.Table) error {
+	txt := filepath.Join(o.dir, name+".txt")
+	if err := os.WriteFile(txt, []byte(t.String()), 0o644); err != nil {
 		return err
 	}
-	return put(name, t)
+	csv := filepath.Join(o.dir, name+".csv")
+	if err := os.WriteFile(csv, []byte(t.CSV()), 0o644); err != nil {
+		return err
+	}
+	o.files = append(o.files, txt, csv)
+	return nil
+}
+
+// putSeries writes CDF series as name.csv.
+func (o *artifactFiles) putSeries(name string, s []report.Series) error {
+	p := filepath.Join(o.dir, name+".csv")
+	if err := os.WriteFile(p, []byte(report.SeriesCSV(s)), 0o644); err != nil {
+		return err
+	}
+	o.files = append(o.files, p)
+	return nil
 }

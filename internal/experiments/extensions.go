@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"roamsim/internal/airalo"
 	"roamsim/internal/geo"
 	"roamsim/internal/ipx"
 	"roamsim/internal/measure"
@@ -155,7 +156,14 @@ func (r *Runner) DiscussionJurisdiction() (*report.Table, error) {
 // the day under a diurnal load model. The busy-hour penalty is of the
 // same order as the IHBO architecture penalty — which is exactly why
 // the paper warns against reading its per-country numbers as absolute.
+//
+// The load model is set on a world of its own, built from the same seed,
+// so artifacts measuring r.W at the same time never see the load.
 func (r *Runner) Confounders() (*report.Table, error) {
+	w, err := airalo.Build(r.Cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
 	src := rng.New(r.Cfg.Seed).Fork("confounders")
 	t := &report.Table{
 		Title:   "Confounder: time-of-day load vs eSIM RTT and downlink (Germany, IHBO)",
@@ -163,9 +171,8 @@ func (r *Runner) Confounders() (*report.Table, error) {
 	}
 	hour := 0.0
 	model := netsim.Diurnal(20, 1, func() float64 { return hour })
-	r.W.Net.SetLoadModel(model)
-	defer r.W.Net.SetLoadModel(nil)
-	d := r.W.Deployments["DEU"]
+	w.Net.SetLoadModel(model)
+	d := w.Deployments["DEU"]
 	for _, h := range []float64{4, 8, 12, 16, 20} {
 		hour = h
 		var rtts, downs []float64

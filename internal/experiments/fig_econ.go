@@ -23,6 +23,8 @@ func (r *Runner) Figure16() (*report.Table, error) {
 	m := r.marketplace()
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()
+	client := esimdb.NewClient()
+	defer client.CloseIdleConnections()
 
 	dates := []time.Time{
 		time.Date(2024, 2, 14, 0, 0, 0, 0, time.UTC),
@@ -36,7 +38,7 @@ func (r *Runner) Figure16() (*report.Table, error) {
 		Title:   "Figure 16: median Airalo $/GB per continent over time",
 		Headers: append([]string{"Continent"}, datesToStrings(dates)...),
 	}
-	crawler := &esimdb.Crawler{BaseURL: srv.URL, Vantage: "Madrid"}
+	crawler := &esimdb.Crawler{BaseURL: srv.URL, Vantage: "Madrid", Client: client}
 	perDate := make([]map[geo.Continent][]float64, len(dates))
 	for i, d := range dates {
 		plans, err := crawler.Crawl(d)
@@ -53,7 +55,7 @@ func (r *Runner) Figure16() (*report.Table, error) {
 		t.AddRow(row...)
 	}
 	// Vantage check: the New Jersey crawl of the last date must match.
-	nj := &esimdb.Crawler{BaseURL: srv.URL, Vantage: "New Jersey"}
+	nj := &esimdb.Crawler{BaseURL: srv.URL, Vantage: "New Jersey", Client: client}
 	njPlans, err := nj.Crawl(dates[len(dates)-1])
 	if err != nil {
 		return nil, err

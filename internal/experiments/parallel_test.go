@@ -1,13 +1,18 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"roamsim/internal/airalo"
+	"roamsim/internal/measure"
 	"roamsim/internal/rng"
 )
 
@@ -177,5 +182,117 @@ func TestRunnerConcurrentMemoization(t *testing.T) {
 			t.Fatalf("goroutine %d saw %d traces, goroutine 0 saw %d",
 				g, len(results[g]), len(results[0]))
 		}
+	}
+}
+
+// TestWriteAllDeterminism runs every artifact at several pool sizes on
+// one world: each must write the same files, byte for byte, and return
+// the same list in the same order, whatever order the jobs finished in.
+func TestWriteAllDeterminism(t *testing.T) {
+	w, err := airalo.Build(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	export := func(workers int) (map[string][]byte, []string) {
+		t.Helper()
+		cfg := Config{
+			Seed:                 42,
+			TracesPerCountry:     3,
+			SpeedtestsPerCountry: 3,
+			CDNFetchesPerCountry: 2,
+			DNSPerCountry:        3,
+			VideosPerCountry:     2,
+			WebMeasurements:      2,
+			Workers:              workers,
+		}
+		dir := t.TempDir()
+		written, err := NewRunnerWith(w, cfg).WriteAll(dir)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		files := map[string][]byte{}
+		names := make([]string, len(written))
+		for i, p := range written {
+			if names[i], err = filepath.Rel(dir, p); err != nil {
+				t.Fatal(err)
+			}
+			if files[names[i]], err = os.ReadFile(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != len(written) {
+			t.Errorf("workers=%d: %d files in the directory, %d listed", workers, len(ents), len(written))
+		}
+		return files, names
+	}
+	wantFiles, wantNames := export(1)
+	for _, workers := range []int{4, 0} {
+		files, names := export(workers)
+		if !slices.Equal(names, wantNames) {
+			t.Errorf("workers=%d: written list differs from the serial run:\n got %v\nwant %v", workers, names, wantNames)
+		}
+		for name, want := range wantFiles {
+			if !bytes.Equal(files[name], want) {
+				t.Errorf("workers=%d: %s differs from the serial run", workers, name)
+			}
+		}
+	}
+}
+
+// TestConfoundersLeavesSharedWorldUnloaded: Confounders measures under a
+// diurnal load model, which must not leak into the runner's world while
+// other artifacts measure it. A reader pings a fixed session with a fixed
+// stream from before Confounders starts until after it returns; every
+// read must equal the unloaded value.
+func TestConfoundersLeavesSharedWorldUnloaded(t *testing.T) {
+	r := runner(t)
+	s, err := r.W.Deployments["DEU"].AttachESIM(rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ping := func() (float64, error) { return measure.Ping(s, "Google", rng.New(7)) }
+	idle, err := ping()
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, done := make(chan struct{}), make(chan struct{})
+	var reads, loaded int
+	var readErr error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			rtt, err := ping()
+			if err != nil {
+				readErr = err
+			} else if rtt != idle {
+				loaded++
+			}
+			if reads++; reads == 1 {
+				close(started)
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	<-started
+	if _, err := r.Confounders(); err != nil {
+		t.Fatal(err)
+	}
+	close(done)
+	wg.Wait()
+	if readErr != nil {
+		t.Fatal(readErr)
+	}
+	if loaded > 0 {
+		t.Errorf("%d of %d RTT reads of the shared world saw Confounders' load model", loaded, reads)
 	}
 }
