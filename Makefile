@@ -4,7 +4,7 @@ GO ?= go
 
 ## verify: the CI entry point — vet, the roamvet determinism/hygiene
 ## analyzers, build, race-enabled tests, a one-iteration fleet
-## throughput smoke (v1/v2/v3 protocol paths), a short paper-pipeline
+## throughput smoke (the v3 lease/upload path), a short paper-pipeline
 ## benchmark run checked for byte-identical output, the paper pipeline's
 ## concurrency tests under the race detector, the chaos differential
 ## suite under the race detector, the observability endpoint smoke, the
@@ -60,8 +60,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 ## bench-fleet: smoke-run the fleet control-plane throughput benchmark
-## over all three protocols (one iteration, 10k-ME cases skipped via
-## -short).
+## (one iteration, 10k-ME cases skipped via -short).
 bench-fleet:
 	$(GO) test -short -run=^$$ -bench=Fleet -benchtime=1x ./internal/fleet
 
@@ -81,9 +80,11 @@ paper-race:
 	$(GO) test -race -count=5 -run 'TestWriteAllDeterminism|TestConfoundersLeavesSharedWorldUnloaded' ./internal/experiments
 	$(GO) test -race -count=5 -run 'TestCrawl|TestSnapshot' ./internal/esimdb
 
-## bench-json: run the fleet throughput benchmark at 100/1000 MEs for
-## v1/v2/v3 and snapshot results/s into BENCH_fleet.json (uploaded as a
-## CI artifact so regressions are visible per-commit).
+## bench-json: run the fleet throughput benchmark at 100/1000 MEs (one
+## server and the 4-shard gateway) plus the realized 1000-ME campaign
+## on the real and virtual clocks, and snapshot results/s and the
+## ratios into BENCH_fleet.json (uploaded as a CI artifact so
+## regressions are visible per-commit).
 bench-json:
 	bash scripts/bench_fleet.sh BENCH_fleet.json
 
@@ -122,7 +123,7 @@ reshard-smoke:
 ## the race detector (scheduler, timers, contexts, deadlock/stall
 ## guards), then one fleet crosscheck: the clock differential test
 ## proving a virtual-time campaign ingests the byte-identical dataset a
-## wall-clock run does, across protocols, chaos, and realized pacing.
+## wall-clock run does, across scheduling, chaos, and realized pacing.
 vclock-smoke:
 	$(GO) test -race ./internal/vclock
 	$(GO) test -race -run 'TestVirtualTimeEquivalence' ./internal/fleet

@@ -50,11 +50,13 @@ func main() {
 				fatal(err)
 			}
 		}
-		ran, err := ep.RunOnce()
+		// One task per cycle: one output line per task, and a heartbeat
+		// every heartbeatEvery tasks while work is queued.
+		ran, err := ep.RunBatch(1)
 		if err != nil {
 			fatal(err)
 		}
-		if ran {
+		if ran > 0 {
 			fmt.Println("task executed and uploaded")
 			continue
 		}

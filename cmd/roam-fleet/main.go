@@ -12,17 +12,12 @@
 // Usage:
 //
 //	roam-fleet [-server URL] [-mes N] [-countries GEO,DEU,...] [-seed N]
-//	           [-workers N] [-lease K] [-proto v2|v3] [-reps N]
+//	           [-workers N] [-lease K] [-reps N]
 //	           [-configs sim,esim] [-tools speedtest,mtr,...] [-crosscheck]
 //	           [-chaos light|heavy] [-chaos-seed N] [-straggler DUR]
 //	           [-metrics] [-shards N] [-wal-dir DIR] [-kill-shard N]
 //	           [-compact-after N] [-reshard N] [-reshard-after U]
 //	           [-virtual-time] [-realize]
-//
-// -proto selects the lease/upload codec: v2 (JSON, the default) or v3
-// (length-prefixed binary frames, see internal/wire). The codec is an
-// encoding detail — for a fixed seed the ingested dataset and printed
-// tables are byte-identical under either protocol.
 //
 // With -metrics the whole stack is instrumented — control server,
 // driver, every ME endpoint, and the network simulator's route cache —
@@ -31,10 +26,11 @@
 // /admin/metrics. Metrics never change the dataset: for a fixed seed
 // the output is byte-identical with or without -metrics.
 //
-// With -crosscheck the same plan is also run serially in-process over
-// the v1 protocol and the two Table 4 / RTT renderings are compared;
-// any mismatch exits nonzero. For a fixed seed the fleet output is
-// byte-identical regardless of -workers or -lease.
+// With -crosscheck the same plan is also run serially in-process, one
+// ME at a time against a private server (fleet.RunInProcess), and the
+// two Table 4 / RTT renderings are compared; any mismatch exits
+// nonzero. For a fixed seed the fleet output is byte-identical
+// regardless of -workers or -lease.
 //
 // With -chaos the run is subjected to seeded deterministic fault
 // injection (connection resets, truncation, duplicate deliveries,
@@ -101,7 +97,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "campaign seed (same seed = identical dataset)")
 	workers := flag.Int("workers", 0, "ME worker pool size (0 = GOMAXPROCS; output is identical either way)")
 	lease := flag.Int("lease", 32, "max tasks leased per lease round trip")
-	proto := flag.String("proto", "v2", "lease/upload protocol: v2 (JSON) or v3 (binary frames)")
 	reps := flag.Int("reps", 1, "repetitions per (tool, config)")
 	configs := flag.String("configs", "sim,esim", "comma-separated SIM configurations")
 	tools := flag.String("tools", "", "comma-separated task kinds to keep (speedtest,mtr,cdn,dns,video; empty = all)")
@@ -207,7 +202,6 @@ func main() {
 		Seed:        *seed,
 		Workers:     *workers,
 		LeaseBatch:  *lease,
-		Proto:       *proto,
 		StreamLabel: "table4",
 		Heartbeat:   true,
 		Chaos:       inj,

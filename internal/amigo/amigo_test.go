@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"roamsim/internal/airalo"
 	"roamsim/internal/rng"
+	"roamsim/internal/wire"
 )
 
 var sharedWorld *airalo.World
@@ -90,11 +92,11 @@ func TestTaskRoundTripAllKinds(t *testing.T) {
 		}
 	}
 	for {
-		more, err := ep.RunOnce()
+		n, err := ep.RunBatch(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !more {
+		if n == 0 {
 			break
 		}
 	}
@@ -142,7 +144,7 @@ func TestUnknownTaskKindReported(t *testing.T) {
 	defer done()
 	ep.Register()
 	srv.Schedule("me-PAK", Task{Kind: "teleport", Config: "esim"})
-	if _, err := ep.RunOnce(); err != nil {
+	if _, err := ep.RunBatch(1); err != nil {
 		t.Fatal(err)
 	}
 	rs := srv.Results()
@@ -156,7 +158,7 @@ func TestSIMTaskOnWebOnlyCountryFails(t *testing.T) {
 	defer done()
 	ep.Register()
 	srv.Schedule("me-FRA", Task{Kind: "speedtest", Config: "sim"})
-	if _, err := ep.RunOnce(); err != nil {
+	if _, err := ep.RunBatch(1); err != nil {
 		t.Fatal(err)
 	}
 	rs := srv.Results()
@@ -169,12 +171,12 @@ func TestEmptyQueueReturnsNoTask(t *testing.T) {
 	_, ep, done := testbed(t, "PAK")
 	defer done()
 	ep.Register()
-	more, err := ep.RunOnce()
+	n, err := ep.RunBatch(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if more {
-		t.Error("empty queue should report no more tasks")
+	if n != 0 {
+		t.Errorf("empty queue ran %d tasks, want 0", n)
 	}
 }
 
@@ -182,13 +184,14 @@ func TestBadRequests(t *testing.T) {
 	srv := NewServer(nil)
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
-	resp, err := hs.Client().Get(hs.URL + "/v1/tasks?me=ghost")
+	ghost := wire.AppendLeaseRequest(nil, wire.LeaseRequest{ME: "ghost", Max: 1})
+	resp, err := hs.Client().Post(hs.URL+"/v3/tasks/lease", wire.ContentType, bytes.NewReader(ghost))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != 404 {
-		t.Errorf("unknown ME tasks: HTTP %d, want 404", resp.StatusCode)
+		t.Errorf("unknown ME lease: HTTP %d, want 404", resp.StatusCode)
 	}
 	resp, err = hs.Client().Post(hs.URL+"/v1/register", "application/json", nil)
 	if err != nil {
@@ -197,6 +200,39 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Errorf("empty register: HTTP %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestRetiredRoutesGone pins the removal of v1 one-task polling and the
+// v2 JSON lease/upload batches: their routes are not mounted, so a
+// stale client gets 404 instead of a second data-plane protocol.
+func TestRetiredRoutesGone(t *testing.T) {
+	srv := NewServer(nil)
+	srv.Register("me-PAK", "PAK")
+	if _, err := srv.Schedule("me-PAK", Task{Kind: "dns", Config: "esim"}); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	for _, rt := range []struct{ method, path, body string }{
+		{http.MethodGet, "/v1/tasks?me=me-PAK", ""},
+		{http.MethodPost, "/v1/results", `{"task_id":1,"me":"me-PAK"}`},
+		{http.MethodPost, "/v2/tasks/lease", `{"me":"me-PAK","max":1}`},
+		{http.MethodPost, "/v2/results", `[{"task_id":1,"me":"me-PAK"}]`},
+	} {
+		req, _ := http.NewRequest(rt.method, hs.URL+rt.path, strings.NewReader(rt.body))
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := hs.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: HTTP %d, want 404", rt.method, rt.path, resp.StatusCode)
+		}
+	}
+	if got := len(srv.Results()); got != 0 {
+		t.Errorf("retired routes stored %d results", got)
 	}
 }
 
@@ -223,12 +259,12 @@ func TestConcurrentEndpoints(t *testing.T) {
 		}
 		go func(e *Endpoint) {
 			for {
-				more, err := e.RunOnce()
+				n, err := e.RunBatch(1)
 				if err != nil {
 					done <- err
 					return
 				}
-				if !more {
+				if n == 0 {
 					done <- nil
 					return
 				}
@@ -262,8 +298,8 @@ func TestConcurrentEndpoints(t *testing.T) {
 }
 
 func TestMENameWithSpacesSurvivesPolling(t *testing.T) {
-	// RunOnce must query-escape the ME name; "vol 7" would otherwise
-	// break the /v1/tasks URL.
+	// The ME name travels in the lease frame and the JSON register body;
+	// a name with spaces must come back intact on its results.
 	srv := NewServer(nil)
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -274,9 +310,9 @@ func TestMENameWithSpacesSurvivesPolling(t *testing.T) {
 	if _, err := srv.Schedule("me PAK 1", Task{Kind: "dns", Config: "esim"}); err != nil {
 		t.Fatal(err)
 	}
-	more, err := ep.RunOnce()
-	if err != nil || !more {
-		t.Fatalf("RunOnce = %v, %v", more, err)
+	n, err := ep.RunBatch(1)
+	if err != nil || n != 1 {
+		t.Fatalf("RunBatch = %v, %v", n, err)
 	}
 	rs := srv.Results()
 	if len(rs) != 1 || rs[0].ME != "me PAK 1" || !rs[0].OK {
@@ -394,8 +430,8 @@ func TestOversizedBatchRejectedWith429(t *testing.T) {
 	srv := NewServer(nil, WithSpoolCapacity(2), WithRetryAfter(3*time.Second))
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
-	batch, _ := json.Marshal([]Result{{ME: "a"}, {ME: "b"}, {ME: "c"}})
-	resp, err := hs.Client().Post(hs.URL+"/v2/results", "application/json", bytes.NewReader(batch))
+	batch := wire.AppendResults(nil, []Result{{ME: "a"}, {ME: "b"}, {ME: "c"}})
+	resp, err := hs.Client().Post(hs.URL+"/v3/results", wire.ContentType, bytes.NewReader(batch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +550,7 @@ func TestAdminHandlerScheduleAndResults(t *testing.T) {
 	srv := NewServer(nil)
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", srv.Handler())
-	mux.Handle("/v2/", srv.Handler())
+	mux.Handle("/v3/", srv.Handler())
 	mux.Handle("/admin/", srv.AdminHandler())
 	hs := httptest.NewServer(mux)
 	defer hs.Close()

@@ -10,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptrace"
-	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -22,7 +21,14 @@ import (
 	"roamsim/internal/rng"
 	"roamsim/internal/vclock"
 	"roamsim/internal/video"
+	"roamsim/internal/wire"
 )
+
+// ProtoV3 names the lease/upload protocol: internal/wire frames over
+// /v3/tasks/lease and /v3/results, the only data-plane protocol the
+// server and endpoint speak. It is kept because fleet.Driver.Proto
+// still accepts it (see there).
+const ProtoV3 = "v3"
 
 // Backoff is the endpoint's retry policy: capped exponential backoff
 // with optional jitter, shared by every control-plane operation. The
@@ -118,10 +124,6 @@ type Endpoint struct {
 	// be set before the first operation; instrumentation never touches
 	// the measurement rng, so datasets are identical with or without it.
 	Obs *obs.Registry
-	// Proto selects the batch protocol for Lease/Upload: ProtoV2 (JSON,
-	// the default — "" means v2) or ProtoV3 (binary wire frames).
-	// Delivery semantics are identical either way; see endpoint_v3.go.
-	Proto string
 	// Clock is the time source for backoff sleeps, Retry-After waits,
 	// realized task durations, and execution metrics (nil = wall clock).
 	// On a vclock.Virtual the ME's goroutine must be a registered waiter.
@@ -135,7 +137,7 @@ type Endpoint struct {
 	Realize bool
 
 	battery float64
-	acked   int // highest task ID leased so far (v2 ack cursor)
+	acked   int // highest task ID leased so far (the lease ack cursor)
 
 	metOnce sync.Once
 	met     epMetrics
@@ -156,8 +158,7 @@ type epMetrics struct {
 
 var (
 	epPaths = []string{
-		"/v1/register", "/v1/status", "/v1/tasks", "/v1/results",
-		"/v2/tasks/lease", "/v2/tasks/requeue", "/v2/results",
+		"/v1/register", "/v1/status", "/v2/tasks/requeue",
 		"/v3/tasks/lease", "/v3/results",
 	}
 	taskKinds = []string{"speedtest", "mtr", "cdn", "dns", "video", "other"}
@@ -331,7 +332,7 @@ func (e *Endpoint) postResp(path string, body any, header map[string]string) (*h
 }
 
 // postRaw sends pre-encoded bytes — the shared tail of the JSON and
-// binary post paths (request metrics, connection tracing, 429
+// frame post paths (request metrics, connection tracing, 429
 // counting).
 func (e *Endpoint) postRaw(path, contentType string, body []byte, header map[string]string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(e.reqContext(), http.MethodPost, e.BaseURL+path, bytes.NewReader(body))
@@ -374,61 +375,21 @@ func (e *Endpoint) Heartbeat() error {
 	})
 }
 
-// RunOnce polls for one task, executes it, and uploads the result.
-// It returns false when the queue is empty.
-func (e *Endpoint) RunOnce() (bool, error) {
-	req, err := http.NewRequestWithContext(e.reqContext(), http.MethodGet,
-		e.BaseURL+"/v1/tasks?me="+url.QueryEscape(e.Name), nil)
-	if err != nil {
-		return false, err
-	}
-	e.metrics().request("/v1/tasks")
-	resp, err := e.httpClient().Do(req)
-	if err != nil {
-		return false, err
-	}
-	switch resp.StatusCode {
-	case http.StatusNoContent:
-		drainClose(resp)
-		return false, nil
-	case http.StatusOK:
-	default:
-		code := resp.StatusCode
-		drainClose(resp)
-		return false, httpStatusErr("tasks", code)
-	}
-	var task Task
-	err = json.NewDecoder(resp.Body).Decode(&task)
-	// Drain now, not after the task runs: a deferred close would pin
-	// the connection out of the keep-alive pool for the whole task
-	// execution plus the result upload, forcing the next poll onto a
-	// fresh dial.
-	drainClose(resp)
-	if err != nil {
-		return false, err
-	}
-	result := e.Execute(task)
-	if err := e.post("/v1/results", result); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// Lease asks the server for up to max tasks over the v2 batch
-// protocol, acknowledging everything leased so far (the server retires
-// acked tasks and re-delivers unacked ones, so a lease response lost to
-// a fault is recovered on the next call). An empty slice means the
-// queue is drained. Transport errors, truncated responses, 429s, and
-// 5xx are retried under the backoff policy. With Proto set to ProtoV3
-// the same exchange runs over the binary v3 route.
+// Lease asks the server for up to max tasks over POST /v3/tasks/lease,
+// acknowledging everything leased so far (the server retires acked
+// tasks and re-delivers unacked ones, so a lease response lost to a
+// fault is recovered on the next call). An empty slice means the queue
+// is drained. Transport errors, truncated responses, 429s, and 5xx are
+// retried under the backoff policy. The request frame is encoded once,
+// into a pooled buffer, and reused across retries.
 func (e *Endpoint) Lease(max int) ([]Task, error) {
-	if e.Proto == ProtoV3 {
-		return e.leaseV3(max)
-	}
+	ebuf := wire.GetBuf()
+	defer wire.PutBuf(ebuf)
+	*ebuf = wire.AppendLeaseRequest((*ebuf)[:0],
+		wire.LeaseRequest{ME: e.Name, Max: max, Ack: e.acked})
 	var tasks []Task
 	err := e.retry("lease", func() (bool, time.Duration, error) {
-		resp, err := e.postResp("/v2/tasks/lease",
-			map[string]any{"me": e.Name, "max": max, "ack": e.acked}, nil)
+		resp, err := e.postRaw("/v3/tasks/lease", wire.ContentType, *ebuf, nil)
 		if err != nil {
 			return false, 0, err
 		}
@@ -446,12 +407,25 @@ func (e *Endpoint) Lease(max int) ([]Task, error) {
 			}
 			return true, 0, httpStatusErr("lease", resp.StatusCode)
 		}
-		var got []Task
-		err = json.NewDecoder(resp.Body).Decode(&got)
+		rbuf := wire.GetBuf()
+		h, payload, err := wire.ReadFrame(resp.Body, (*rbuf)[:0])
+		*rbuf = payload
 		drainClose(resp)
+		if err == nil && h.Type != wire.MsgTasks {
+			err = fmt.Errorf("wire: unexpected message type 0x%02x", h.Type)
+		}
+		var got []Task
+		if err == nil {
+			dec := wire.GetDecoder()
+			// Tasks carry no byte fields, so the decoded batch owns all
+			// its data and rbuf can go straight back to the pool.
+			got, err = dec.Tasks(payload, nil)
+			wire.PutDecoder(dec)
+		}
+		wire.PutBuf(rbuf)
 		if err != nil {
-			// Truncated or garbled response: the batch stays unacked on
-			// the server and the retry re-delivers the same tasks.
+			// Truncated or garbled frame: the batch stays unacked on the
+			// server and the retry re-delivers the same tasks.
 			return false, 0, fmt.Errorf("amigo: lease: decoding response: %w", err)
 		}
 		tasks = got
@@ -476,7 +450,7 @@ func (e *Endpoint) Redeliver() error {
 	return e.post("/v2/tasks/requeue", map[string]string{"me": e.Name})
 }
 
-// Upload posts a result batch over the v2 protocol under an
+// Upload posts a result batch over POST /v3/results under an
 // Idempotency-Key derived from the batch content, retrying transport
 // errors, 429 + Retry-After backpressure (clamped by the backoff
 // policy), and 5xx. The key makes resending always safe: if the server
@@ -486,12 +460,12 @@ func (e *Endpoint) Upload(results []Result) error {
 	if len(results) == 0 {
 		return nil
 	}
-	if e.Proto == ProtoV3 {
-		return e.uploadV3(results)
-	}
 	header := map[string]string{"Idempotency-Key": uploadKey(e.Name, results)}
+	ebuf := wire.GetBuf()
+	defer wire.PutBuf(ebuf)
+	*ebuf = wire.AppendResults((*ebuf)[:0], results)
 	return e.retry("results", func() (bool, time.Duration, error) {
-		resp, err := e.postResp("/v2/results", results, header)
+		resp, err := e.postRaw("/v3/results", wire.ContentType, *ebuf, header)
 		if err != nil {
 			return false, 0, err
 		}
@@ -509,8 +483,8 @@ func (e *Endpoint) Upload(results []Result) error {
 }
 
 // uploadKey derives a batch's idempotency key from its content: the ME
-// name plus every result's (task ID, kind, config). A replayed or
-// duplicated batch hashes identically, so the server keeps only the
+// name plus every result's (task ID, kind, config) — field values, not
+// encoded bytes. A replayed or duplicated batch hashes identically, so the server keeps only the
 // first copy; distinct batches differ because task IDs are unique per
 // ME schedule.
 func uploadKey(me string, results []Result) string {

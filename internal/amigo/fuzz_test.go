@@ -2,26 +2,30 @@ package amigo
 
 import (
 	"bytes"
-	"strings"
 	"testing"
+
+	"roamsim/internal/wire"
 )
 
-// FuzzLeaseDecode hammers the v2 lease request decoder with arbitrary
-// bodies. It must never panic, and every request it accepts must come
-// out normalized: a non-empty ME, Max clamped into [1, maxLeaseBatch],
-// and a non-negative Ack — the guarantees LeaseAck relies on.
+// FuzzLeaseDecode hammers readLeaseRequest — the whole decode step of
+// POST /v3/tasks/lease — with arbitrary request bodies. It must never
+// panic, and every request it accepts must come out normalized: a
+// non-empty ME, Max clamped into [1, maxLeaseBatch], and a
+// non-negative Ack — the guarantees Server.Lease relies on.
 func FuzzLeaseDecode(f *testing.F) {
-	f.Add([]byte(`{"me":"me-PAK","max":32,"ack":7}`))
-	f.Add([]byte(`{"me":"m","max":0}`))
-	f.Add([]byte(`{"me":"m","max":-3,"ack":-9}`))
-	f.Add([]byte(`{"me":"m","max":999999}`))
-	f.Add([]byte(`{"max":5}`))
-	f.Add([]byte(`{"me":`))
-	f.Add([]byte(``))
-	f.Add([]byte(`[1,2,3]`))
-	f.Add([]byte(strings.Repeat("9", 4096)))
+	lease := func(req wire.LeaseRequest) []byte { return wire.AppendLeaseRequest(nil, req) }
+	f.Add(lease(wire.LeaseRequest{ME: "me-PAK", Max: 32, Ack: 7}))
+	f.Add(lease(wire.LeaseRequest{ME: "m"}))                                 // Max absent
+	f.Add(lease(wire.LeaseRequest{ME: "m", Max: -3, Ack: -9}))               // past MaxInt64
+	f.Add(lease(wire.LeaseRequest{ME: "m", Max: 999999}))                    // huge Max
+	f.Add(lease(wire.LeaseRequest{Max: 5}))                                  // ME absent
+	f.Add(lease(wire.LeaseRequest{ME: "me-PAK", Max: 2})[:wire.HeaderLen+3]) // truncated
+	f.Add([]byte{})
+	f.Add(wire.AppendTasks(nil, []wire.Task{{ID: 1, Kind: "dns", Config: "sim"}})) // wrong type
+	f.Add(bytes.Repeat([]byte{0xff}, 4096))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := parseLeaseRequest(bytes.NewReader(data))
+		var buf []byte
+		req, err := readLeaseRequest(bytes.NewReader(data), &buf)
 		if err != nil {
 			return
 		}

@@ -1,6 +1,8 @@
 package amigo
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"roamsim/internal/wire"
 )
 
 // TestLeaseAckRedeliversUnacked pins the at-least-once lease contract:
@@ -22,23 +26,23 @@ func TestLeaseAckRedeliversUnacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := srv.LeaseAck("me", 2, 0)
+	first, err := srv.Lease("me", 2, 0, nil)
 	if err != nil || len(first) != 2 {
 		t.Fatalf("first lease = %v, %v", first, err)
 	}
 	// The "client" never saw the response: leasing again without an ack
 	// must re-deliver the same two tasks, not advance the queue.
-	again, err := srv.LeaseAck("me", 2, 0)
+	again, err := srv.Lease("me", 2, 0, nil)
 	if err != nil || len(again) != 2 || again[0].ID != first[0].ID || again[1].ID != first[1].ID {
 		t.Fatalf("unacked release = %v, %v; want redelivery of %v", again, err, first)
 	}
 	// Acking the batch retires it and hands out fresh work.
-	next, err := srv.LeaseAck("me", 2, first[1].ID)
+	next, err := srv.Lease("me", 2, first[1].ID, nil)
 	if err != nil || len(next) != 1 || next[0].ID != ids[2] {
 		t.Fatalf("acked lease = %v, %v; want [%d]", next, err, ids[2])
 	}
 	// Ack the tail; the queue is drained.
-	empty, err := srv.LeaseAck("me", 2, next[0].ID)
+	empty, err := srv.Lease("me", 2, next[0].ID, nil)
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("drained lease = %v, %v", empty, err)
 	}
@@ -61,8 +65,8 @@ func TestRequeueRestoresFullSchedule(t *testing.T) {
 	}
 	// Batch 1 leased and acked (done); batch 2 leased, never acked
 	// (outstanding); the rest still queued. Then the ME "crashes".
-	b1, _ := srv.LeaseAck("me", 2, 0)
-	b2, _ := srv.LeaseAck("me", 2, b1[1].ID)
+	b1, _ := srv.Lease("me", 2, 0, nil)
+	b2, _ := srv.Lease("me", 2, b1[1].ID, nil)
 	if len(b1) != 2 || len(b2) != 2 {
 		t.Fatalf("setup leases: %v / %v", b1, b2)
 	}
@@ -72,7 +76,7 @@ func TestRequeueRestoresFullSchedule(t *testing.T) {
 	if err != nil || n != 4 {
 		t.Fatalf("Requeue = %d, %v; want 4", n, err)
 	}
-	replay, err := srv.LeaseAck("me", 10, 0)
+	replay, err := srv.Lease("me", 10, 0, nil)
 	if err != nil || len(replay) != 6 {
 		t.Fatalf("replay lease = %v, %v", replay, err)
 	}
@@ -203,37 +207,69 @@ func TestBackoffDelayClamp(t *testing.T) {
 	}
 }
 
-// TestParseLeaseRequest covers the v2 lease request decoder the fuzz
-// target explores: clamping, missing fields, garbage.
+// TestParseLeaseRequest covers the lease decode-and-normalize step
+// (readLeaseRequest) the fuzz target explores: clamping, missing
+// fields, out-of-range integers, frames of the wrong type, garbage.
 func TestParseLeaseRequest(t *testing.T) {
+	frame := func(req wire.LeaseRequest) []byte { return wire.AppendLeaseRequest(nil, req) }
 	cases := []struct {
-		name, body string
-		wantErr    bool
-		wantMax    int
-		wantAck    int
+		name    string
+		body    []byte
+		wantErr bool
+		wantMax int
+		wantAck int
 	}{
-		{"normal", `{"me":"m","max":8,"ack":3}`, false, 8, 3},
-		{"missing me", `{"max":8}`, true, 0, 0},
-		{"zero max clamped", `{"me":"m","max":0}`, false, 1, 0},
-		{"negative max clamped", `{"me":"m","max":-5}`, false, 1, 0},
-		{"huge max clamped", `{"me":"m","max":99999}`, false, maxLeaseBatch, 0},
-		{"negative ack clamped", `{"me":"m","max":1,"ack":-7}`, false, 1, 0},
-		{"garbage", `{"me":`, true, 0, 0},
-		{"empty", ``, true, 0, 0},
+		{"normal", frame(wire.LeaseRequest{ME: "m", Max: 8, Ack: 3}), false, 8, 3},
+		{"missing me", frame(wire.LeaseRequest{Max: 8}), true, 0, 0},
+		{"zero max clamped", frame(wire.LeaseRequest{ME: "m"}), false, 1, 0},
+		{"huge max clamped", frame(wire.LeaseRequest{ME: "m", Max: 99999}), false, maxLeaseBatch, 0},
+		// A negative int encodes as a uvarint past MaxInt64, which the
+		// decoder rejects rather than wrapping.
+		{"negative max rejected", frame(wire.LeaseRequest{ME: "m", Max: -5}), true, 0, 0},
+		{"negative ack rejected", frame(wire.LeaseRequest{ME: "m", Max: 1, Ack: -7}), true, 0, 0},
+		{"wrong frame type", wire.AppendResults(nil, []Result{{TaskID: 1, ME: "m"}}), true, 0, 0},
+		{"garbage", []byte("XX garbage"), true, 0, 0},
+		{"empty", nil, true, 0, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			req, err := parseLeaseRequest(strings.NewReader(c.body))
+			var buf []byte
+			req, err := readLeaseRequest(bytes.NewReader(c.body), &buf)
 			if (err != nil) != c.wantErr {
 				t.Fatalf("err = %v, wantErr = %v", err, c.wantErr)
 			}
 			if err != nil {
 				return
 			}
-			if req.Max != c.wantMax || req.Ack != c.wantAck {
-				t.Errorf("parsed = %+v, want max=%d ack=%d", req, c.wantMax, c.wantAck)
+			if req.ME != "m" || req.Max != c.wantMax || req.Ack != c.wantAck {
+				t.Errorf("parsed = %+v, want me=m max=%d ack=%d", req, c.wantMax, c.wantAck)
 			}
 		})
+	}
+}
+
+// TestRequeueNeedsSchedule pins the shard-replacement guard: Requeue
+// restores nothing for an ME this server registered but never
+// scheduled — it errors, and over HTTP the endpoint sees ErrUnknownME —
+// while an ME scheduled with an empty batch still requeues cleanly.
+func TestRequeueNeedsSchedule(t *testing.T) {
+	srv := NewServer(nil)
+	srv.Register("fresh", "PAK")
+	if n, err := srv.Requeue("fresh"); err == nil {
+		t.Fatalf("Requeue of a never-scheduled ME = %d, nil; want error", n)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	ep := &Endpoint{Name: "fresh", BaseURL: hs.URL, Client: hs.Client()}
+	if err := ep.Redeliver(); !errors.Is(err, ErrUnknownME) {
+		t.Fatalf("Redeliver against a never-scheduled ME = %v, want ErrUnknownME", err)
+	}
+	srv.Register("empty", "PAK")
+	if _, err := srv.ScheduleBatch("empty", nil); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := srv.Requeue("empty"); err != nil || n != 0 {
+		t.Fatalf("Requeue after an empty schedule = %d, %v; want 0, nil", n, err)
 	}
 }
 
@@ -245,8 +281,8 @@ func TestEndpointLeaseSurvivesLostResponse(t *testing.T) {
 	inner := srv.Handler()
 	var leases atomic.Int64
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v2/tasks/lease" && leases.Add(1) == 1 {
-			// Claim a body is coming, send half a JSON array, cut it off.
+		if r.URL.Path == "/v3/tasks/lease" && leases.Add(1) == 1 {
+			// Claim a body is coming, send half the frame, cut it off.
 			rec := httptest.NewRecorder()
 			inner.ServeHTTP(rec, r)
 			body := rec.Body.Bytes()

@@ -10,42 +10,38 @@
 //
 // # Protocol
 //
-// The v1 protocol is one task per round trip, exactly what a handful of
-// phones needs:
+// Register, heartbeat and crash recovery are JSON, one call per ME
+// lifetime event:
 //
-//	POST /v1/register   {"me": ..., "country": ...}
-//	POST /v1/status     {"me": ..., "vitals": {...}}
-//	GET  /v1/tasks?me=X          -> next queued task (204 if none)
-//	POST /v1/results    Result
+//	POST /v1/register      {"me": ..., "country": ...} -> 204
+//	POST /v1/status        {"me": ..., "vitals": {...}} -> 204 (heartbeat)
+//	POST /v2/tasks/requeue {"me": ...}                  -> 204 (404 if never scheduled here)
 //
-// The v2 batch protocol is the fleet-scale path (see internal/fleet):
-// an ME leases up to K tasks in one round trip and uploads results in
-// batches, cutting control-plane round trips by ~K×:
-//
-//	POST /v2/tasks/lease   {"me": ..., "max": K, "ack": N} -> up to K tasks (204 if none)
-//	POST /v2/tasks/requeue {"me": ...}                     -> 204
-//	POST /v2/results       [Result, ...]                   -> 204, or 429 + Retry-After
-//
-// v2 delivery is at-least-once and loss-tolerant: "ack" acknowledges
-// every previously delivered task ID <= N, and unacked deliveries are
-// re-sent before fresh work is popped, so a lease response lost or
-// truncated on a flaky link is simply re-fetched (LeaseAck). A crashed
-// ME calls /v2/tasks/requeue after re-registering to get its entire
-// schedule back, original task IDs included. Uploads may carry an
-// Idempotency-Key header; a batch whose key was already accepted is
-// dropped server-side (SubmitKeyed), so retried and duplicated uploads
-// never double-count results.
-//
-// The v3 binary protocol is the same lease/upload pair with
-// internal/wire frames in place of JSON bodies (see server_v3.go and
-// DESIGN.md "v3 wire format"):
+// Leasing tasks and uploading results — the per-batch hot path — are
+// internal/wire binary frames (see server_v3.go and DESIGN.md "v3 wire
+// format"). An ME leases up to K tasks in one round trip and uploads
+// their results as one batch:
 //
 //	POST /v3/tasks/lease   MsgLeaseRequest frame -> MsgTasks frame (204 if none)
 //	POST /v3/results       MsgResults frame      -> 204, or 429 + Retry-After
 //
-// Requests must carry Content-Type application/vnd.amigo.v3 (else 415).
-// Ack cursors, Idempotency-Key dedup and backpressure behave exactly as
-// in v2 — the codec changes, the protocol semantics do not.
+// Frames must carry Content-Type application/vnd.amigo.v3 (else 415).
+// The path prefixes are historical: v1 one-task polling and v2 JSON
+// batches once had lease/upload routes of their own, and the surviving
+// JSON routes kept their paths.
+//
+// Delivery is at-least-once and loss-tolerant: a lease's Ack
+// acknowledges every previously delivered task ID <= Ack, and unacked
+// deliveries are re-sent before fresh work is popped, so a lease
+// response lost or truncated on a flaky link is simply re-fetched
+// (Lease). A crashed ME calls /v2/tasks/requeue after re-registering
+// to get its entire schedule back, original task IDs included; a
+// server that never scheduled the ME — a replacement for a killed
+// shard — answers 404 instead, so the ME re-schedules rather than
+// draining nothing. Uploads may carry an Idempotency-Key header; a
+// batch whose key was already accepted is dropped server-side
+// (SubmitKeyed), so retried and duplicated uploads never double-count
+// results.
 //
 // # Backpressure
 //
@@ -67,7 +63,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -92,9 +87,8 @@ type Vitals struct {
 }
 
 // Task is one instrumentation command for an ME. The struct lives in
-// internal/wire (aliased here) so the JSON (v1/v2) and binary (v3)
-// codecs share one canonical definition; every existing amigo.Task
-// call site is unchanged.
+// internal/wire (aliased here) so the binary codec and the JSON admin
+// routes share one canonical definition.
 type Task = wire.Task
 
 // Result is an uploaded observation (canonical struct in
@@ -111,15 +105,20 @@ type meState struct {
 	LastVitals Vitals
 	LastSeen   time.Time
 	queue      []Task
-	// outstanding are tasks delivered over the v2 ack'd lease protocol
-	// that the ME has not acknowledged yet. A lease whose response was
-	// lost on the wire is retried with an unchanged ack, and the server
-	// re-delivers these instead of popping fresh work — so a flaky link
-	// can cost round trips but never lose tasks.
+	// outstanding are tasks Lease delivered that the ME has not
+	// acknowledged yet. A lease whose response was lost on the wire is
+	// retried with an unchanged ack, and the server re-delivers these
+	// instead of popping fresh work — so a flaky link can cost round
+	// trips but never lose tasks.
 	outstanding []Task
-	// done are acknowledged v2 deliveries, retained so Requeue can
-	// restore a crashed ME's entire schedule in original ID order.
+	// done are acknowledged deliveries, retained so Requeue can restore
+	// a crashed ME's entire schedule in original ID order.
 	done []Task
+	// scheduled records that this server accepted a schedule for the ME
+	// (possibly an empty one). Registration alone does not set it, so
+	// Requeue can tell a crashed ME's history from a fresh server that
+	// never held its schedule.
+	scheduled bool
 }
 
 // registryShard holds a slice of the ME registry under its own lock.
@@ -140,7 +139,6 @@ type Server struct {
 	clock  func() time.Time
 
 	retryAfter time.Duration
-	maxProto   int // highest protocol Handler mounts (2 or 3)
 
 	spoolMu  sync.Mutex
 	spool    []Result // guarded by spoolMu
@@ -165,9 +163,9 @@ type Server struct {
 // registry lock).
 type serverMetrics struct {
 	scheduled     *obs.Counter // tasks queued via Schedule/ScheduleBatch
-	leased        *obs.Counter // fresh task deliveries (v1 + v2)
-	redelivered   *obs.Counter // unacked v2 tasks re-sent after a lost response
-	acked         *obs.Counter // v2 tasks retired by a lease ack
+	leased        *obs.Counter // fresh task deliveries
+	redelivered   *obs.Counter // unacked tasks re-sent after a lost response
+	acked         *obs.Counter // tasks retired by a lease ack
 	requeued      *obs.Counter // tasks restored by /v2/tasks/requeue
 	submitted     *obs.Counter // results accepted into the spool
 	dedupDropped  *obs.Counter // duplicate idempotency-key batches dropped
@@ -214,18 +212,6 @@ func WithRetryAfter(d time.Duration) Option {
 	return func(s *Server) { s.retryAfter = d }
 }
 
-// WithMaxProto caps the protocol generation Handler serves: 2 mounts
-// only the v1/v2 JSON routes (the v3 binary routes 404), 3 (the
-// default) mounts everything. Operators pin 2 to force a fleet onto
-// the JSON oracle path, e.g. when bisecting a codec suspicion.
-func WithMaxProto(p int) Option {
-	return func(s *Server) {
-		if p == 2 || p == 3 {
-			s.maxProto = p
-		}
-	}
-}
-
 // WithObs attaches a metrics/trace registry: per-route request counts
 // and latency histograms, lease/ack/redelivery/dedup counters, and
 // spool gauges are recorded into it, and AdminHandler serves it at
@@ -248,7 +234,6 @@ func NewServer(clock func() time.Time, opts ...Option) *Server {
 		shards:     make([]registryShard, defaultShardCount),
 		clock:      clock,
 		retryAfter: time.Second,
-		maxProto:   3,
 		spoolCap:   defaultSpoolCap,
 		sink:       mem,
 		cur:        mem,
@@ -335,6 +320,7 @@ func (s *Server) ScheduleBatch(me string, tasks []Task) ([]int, error) {
 		st.queue = append(st.queue, t)
 		ids[i] = t.ID
 	}
+	st.scheduled = true
 	s.met.scheduled.Add(int64(len(tasks)))
 	return ids, nil
 }
@@ -350,46 +336,17 @@ func (s *Server) reserveID(id int64) {
 	}
 }
 
-// Lease pops up to max queued tasks for the named ME, in queue order.
-// It returns an empty slice when the queue is empty and an error when
-// the ME is unknown.
-func (s *Server) Lease(me string, max int) ([]Task, error) {
-	if max < 1 {
-		max = 1
-	}
-	sh := s.shardFor(me)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.mes[me]
-	if !ok {
-		return nil, fmt.Errorf("amigo: unknown ME %q", me)
-	}
-	n := min(max, len(st.queue))
-	leased := append([]Task(nil), st.queue[:n]...)
-	st.queue = st.queue[n:]
-	if len(st.queue) == 0 {
-		st.queue = nil // release the drained backing array
-	}
-	s.met.leased.Add(int64(n))
-	return leased, nil
-}
-
-// LeaseAck is the at-least-once v2 lease: ack acknowledges every
-// previously delivered task with ID <= ack, and any still-unacked
-// deliveries are re-sent (in the original order) before fresh work is
+// Lease is the at-least-once lease: ack acknowledges every previously
+// delivered task with ID <= ack, and any still-unacked deliveries are
+// re-sent (in the original order) before up to max fresh tasks are
 // popped. A client that lost a lease response simply retries with its
 // unchanged ack and receives the same tasks again, so response loss or
 // truncation never drops scheduled work. ack 0 (a fresh client)
-// acknowledges nothing.
-func (s *Server) LeaseAck(me string, max, ack int) ([]Task, error) {
-	return s.LeaseAckInto(me, max, ack, nil)
-}
-
-// LeaseAckInto is LeaseAck appending the leased tasks onto dst — the
-// v3 hot path passes a pooled slice re-sliced to [:0] so the
+// acknowledges nothing. The tasks are appended onto dst (nil is fine):
+// the frame handler passes a pooled slice re-sliced to [:0], so the
 // steady-state lease copies into recycled capacity instead of
-// allocating per response.
-func (s *Server) LeaseAckInto(me string, max, ack int, dst []Task) ([]Task, error) {
+// allocating per response. It errors when the ME is unknown.
+func (s *Server) Lease(me string, max, ack int, dst []Task) ([]Task, error) {
 	if max < 1 {
 		max = 1
 	}
@@ -423,12 +380,19 @@ func (s *Server) LeaseAckInto(me string, max, ack int, dst []Task) ([]Task, erro
 	return dst, nil
 }
 
-// Requeue restores the ME's full v2 schedule — acknowledged, outstanding
+// Requeue restores the ME's full schedule — acknowledged, outstanding
 // and undelivered tasks, in original ID order — to the head of its
 // queue. It is how a crashed-and-restarted ME gets its work re-delivered
 // with the original task IDs (so replayed uploads dedup instead of
 // duplicating). Requeue is idempotent: a second call with nothing
 // delivered since is a no-op. It returns how many tasks were restored.
+//
+// It errors for an ME this server never scheduled, registered or not:
+// a replacement server for a killed shard accepts the crashed ME's
+// re-registration, but holds none of its schedule, and restoring
+// "nothing" would let the ME report a clean drain with its remaining
+// tasks lost. The error (404 on the wire) sends the ME down the
+// re-schedule path instead.
 func (s *Server) Requeue(me string) (int, error) {
 	sh := s.shardFor(me)
 	sh.mu.Lock()
@@ -436,6 +400,9 @@ func (s *Server) Requeue(me string) (int, error) {
 	st, ok := sh.mes[me]
 	if !ok {
 		return 0, fmt.Errorf("amigo: unknown ME %q", me)
+	}
+	if !st.scheduled {
+		return 0, fmt.Errorf("amigo: ME %q holds no schedule on this server", me)
 	}
 	restored := len(st.done) + len(st.outstanding)
 	if restored == 0 {
@@ -717,9 +684,9 @@ func (s *Server) instrument(mux *http.ServeMux, pattern string, h http.HandlerFu
 	})
 }
 
-// Handler exposes the v1/v2/v3 measurement-endpoint API (see the
-// package comment for the protocol; WithMaxProto(2) leaves the v3
-// binary routes unmounted).
+// Handler exposes the measurement-endpoint API: the JSON register,
+// status and requeue routes and the v3 frame lease/upload routes (see
+// the package comment).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	s.instrument(mux, "POST /v1/register", func(w http.ResponseWriter, r *http.Request) {
@@ -757,47 +724,6 @@ func (s *Server) Handler() http.Handler {
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
-	s.instrument(mux, "GET /v1/tasks", func(w http.ResponseWriter, r *http.Request) {
-		tasks, err := s.Lease(r.URL.Query().Get("me"), 1)
-		if err != nil {
-			http.Error(w, "unknown me", http.StatusNotFound)
-			return
-		}
-		if len(tasks) == 0 {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		s.writeJSON(w, tasks[0])
-	})
-	s.instrument(mux, "POST /v1/results", func(w http.ResponseWriter, r *http.Request) {
-		var res Result
-		if err := json.NewDecoder(r.Body).Decode(&res); err != nil {
-			http.Error(w, "bad result", http.StatusBadRequest)
-			return
-		}
-		if err := s.Submit([]Result{res}); err != nil {
-			s.rejectBusy(w)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-	s.instrument(mux, "POST /v2/tasks/lease", func(w http.ResponseWriter, r *http.Request) {
-		req, err := parseLeaseRequest(r.Body)
-		if err != nil {
-			http.Error(w, "bad lease", http.StatusBadRequest)
-			return
-		}
-		tasks, err := s.LeaseAck(req.ME, req.Max, req.Ack)
-		if err != nil {
-			http.Error(w, "unknown me", http.StatusNotFound)
-			return
-		}
-		if len(tasks) == 0 {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		s.writeJSON(w, tasks)
-	})
 	s.instrument(mux, "POST /v2/tasks/requeue", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			ME string `json:"me"`
@@ -812,61 +738,15 @@ func (s *Server) Handler() http.Handler {
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
-	s.instrument(mux, "POST /v2/results", func(w http.ResponseWriter, r *http.Request) {
-		var batch []Result
-		if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-			http.Error(w, "bad results", http.StatusBadRequest)
-			return
-		}
-		if err := s.SubmitKeyed(r.Header.Get("Idempotency-Key"), batch); err != nil {
-			s.rejectBusy(w)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-	if s.maxProto >= 3 {
-		s.instrument(mux, "POST /v3/tasks/lease", s.handleV3Lease)
-		s.instrument(mux, "POST /v3/results", s.handleV3Results)
-	}
+	s.instrument(mux, "POST /v3/tasks/lease", s.handleV3Lease)
+	s.instrument(mux, "POST /v3/results", s.handleV3Results)
 	return mux
 }
 
-// maxLeaseBatch bounds how many tasks one v2 lease round trip may
+// maxLeaseBatch bounds how many tasks one lease round trip may
 // request, so a malformed or hostile client cannot drain an entire
 // fleet-sized queue into one response.
 const maxLeaseBatch = 1024
-
-// leaseRequest is the decoded v2 lease body.
-type leaseRequest struct {
-	ME  string `json:"me"`
-	Max int    `json:"max"`
-	// Ack acknowledges all previously delivered task IDs <= Ack; see
-	// LeaseAck. Omitted (0) acknowledges nothing.
-	Ack int `json:"ack"`
-}
-
-// parseLeaseRequest decodes and validates a v2 lease body: the ME name
-// is required, Max is clamped to [1, maxLeaseBatch], and a negative Ack
-// is treated as 0. It is fuzzed by FuzzLeaseDecode.
-func parseLeaseRequest(body io.Reader) (leaseRequest, error) {
-	var req leaseRequest
-	if err := json.NewDecoder(io.LimitReader(body, 1<<20)).Decode(&req); err != nil {
-		return leaseRequest{}, err
-	}
-	if req.ME == "" {
-		return leaseRequest{}, errors.New("amigo: lease request missing me")
-	}
-	if req.Max < 1 {
-		req.Max = 1
-	}
-	if req.Max > maxLeaseBatch {
-		req.Max = maxLeaseBatch
-	}
-	if req.Ack < 0 {
-		req.Ack = 0
-	}
-	return req, nil
-}
 
 // AdminHandler exposes the operator API:
 //

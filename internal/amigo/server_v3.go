@@ -1,19 +1,21 @@
 package amigo
 
 import (
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"sync"
 
 	"roamsim/internal/wire"
 )
 
-// v3 binary routes. Same protocol semantics as v2 — ack-cursor leases,
-// idempotency-keyed uploads, 429 + Retry-After backpressure — but the
-// bodies are internal/wire frames instead of JSON, and the serving
-// path is allocation-free in steady state: frame buffers, decoders and
-// []Task/[]Result scratch all cycle through pools, and decoded result
-// payloads are detached onto one owned slab per batch before they
-// reach the spool.
+// v3 binary routes: ack-cursor leases, idempotency-keyed uploads and
+// 429 + Retry-After backpressure, with internal/wire frames for bodies.
+// The serving path is allocation-free in steady state: frame buffers,
+// decoders and []Task/[]Result scratch all cycle through pools, and
+// decoded result payloads are detached onto one owned slab per batch
+// before they reach the spool.
 
 var taskSlicePool = sync.Pool{
 	New: func() any {
@@ -29,49 +31,59 @@ var resultSlicePool = sync.Pool{
 	},
 }
 
-// readV3Frame negotiates the content type and reads one frame of the
-// wanted message type into the pooled buffer, writing the HTTP error
-// itself on failure. The returned payload aliases *buf.
-func (s *Server) readV3Frame(w http.ResponseWriter, r *http.Request, want byte, buf *[]byte) ([]byte, bool) {
+// acceptsV3 negotiates the content type, answering 415 itself when the
+// request is not a v3 frame.
+func acceptsV3(w http.ResponseWriter, r *http.Request) bool {
 	if ct := r.Header.Get("Content-Type"); ct != wire.ContentType {
 		http.Error(w, "expected "+wire.ContentType, http.StatusUnsupportedMediaType)
-		return nil, false
+		return false
 	}
-	h, payload, err := wire.ReadFrame(r.Body, (*buf)[:0])
-	*buf = payload // keep any growth pooled
-	if err != nil || h.Type != want {
-		http.Error(w, "bad v3 frame", http.StatusBadRequest)
-		return nil, false
-	}
-	return payload, true
+	return true
 }
 
-// handleV3Lease is POST /v3/tasks/lease: a MsgLeaseRequest frame in, a
-// MsgTasks frame out (204 when nothing is queued). Validation matches
-// parseLeaseRequest: ME required, Max clamped to [1, maxLeaseBatch]
-// (Ack cannot be negative on the wire — uvarints are unsigned).
-func (s *Server) handleV3Lease(w http.ResponseWriter, r *http.Request) {
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	payload, ok := s.readV3Frame(w, r, wire.MsgLeaseRequest, buf)
-	if !ok {
-		return
+// readLeaseRequest is the whole decode step of POST /v3/tasks/lease: it
+// reads one MsgLeaseRequest frame from body into the pooled *buf and
+// normalizes it. The ME name is required and Max is clamped to
+// [1, maxLeaseBatch]; Ack needs no clamp, because wire integers are
+// unsigned and the decoder rejects any that overflow int. It is fuzzed
+// by FuzzLeaseDecode.
+func readLeaseRequest(body io.Reader, buf *[]byte) (wire.LeaseRequest, error) {
+	h, payload, err := wire.ReadFrame(body, (*buf)[:0])
+	*buf = payload // keep any growth pooled
+	if err != nil {
+		return wire.LeaseRequest{}, err
+	}
+	if h.Type != wire.MsgLeaseRequest {
+		return wire.LeaseRequest{}, fmt.Errorf("amigo: lease: unexpected frame type 0x%02x", h.Type)
 	}
 	dec := wire.GetDecoder()
 	req, err := dec.LeaseRequest(payload)
 	wire.PutDecoder(dec)
-	if err != nil || req.ME == "" {
+	if err != nil {
+		return wire.LeaseRequest{}, err
+	}
+	if req.ME == "" {
+		return wire.LeaseRequest{}, errors.New("amigo: lease request missing me")
+	}
+	req.Max = min(max(req.Max, 1), maxLeaseBatch)
+	return req, nil
+}
+
+// handleV3Lease is POST /v3/tasks/lease: a MsgLeaseRequest frame in, a
+// MsgTasks frame out (204 when nothing is queued).
+func (s *Server) handleV3Lease(w http.ResponseWriter, r *http.Request) {
+	if !acceptsV3(w, r) {
+		return
+	}
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	req, err := readLeaseRequest(r.Body, buf)
+	if err != nil {
 		http.Error(w, "bad lease", http.StatusBadRequest)
 		return
 	}
-	if req.Max < 1 {
-		req.Max = 1
-	}
-	if req.Max > maxLeaseBatch {
-		req.Max = maxLeaseBatch
-	}
 	tp := taskSlicePool.Get().(*[]Task)
-	tasks, err := s.LeaseAckInto(req.ME, req.Max, req.Ack, (*tp)[:0])
+	tasks, err := s.Lease(req.ME, req.Max, req.Ack, (*tp)[:0])
 	*tp = tasks
 	defer taskSlicePool.Put(tp)
 	if err != nil {
@@ -87,14 +99,18 @@ func (s *Server) handleV3Lease(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleV3Results is POST /v3/results: a MsgResults frame in, 204 out
-// (429 + Retry-After when the spool is full, exactly like v2). The
-// Idempotency-Key header works unchanged — keys are codec-independent,
-// so a batch first attempted over v2 and retried over v3 still dedups.
+// (429 + Retry-After when the spool is full). A batch whose
+// Idempotency-Key was already accepted is dropped (SubmitKeyed).
 func (s *Server) handleV3Results(w http.ResponseWriter, r *http.Request) {
+	if !acceptsV3(w, r) {
+		return
+	}
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
-	payload, ok := s.readV3Frame(w, r, wire.MsgResults, buf)
-	if !ok {
+	h, payload, err := wire.ReadFrame(r.Body, (*buf)[:0])
+	*buf = payload // keep any growth pooled
+	if err != nil || h.Type != wire.MsgResults {
+		http.Error(w, "bad v3 frame", http.StatusBadRequest)
 		return
 	}
 	dec := wire.GetDecoder()

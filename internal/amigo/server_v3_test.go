@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,7 +18,6 @@ func v3Testbed(t *testing.T, iso string, opts ...Option) (*Server, *Endpoint, fu
 	srv := NewServer(func() time.Time { return fixed }, opts...)
 	hs := httptest.NewServer(srv.Handler())
 	ep := NewEndpoint("me-"+iso, hs.URL, world(t).Deployments[iso], rng.New(5))
-	ep.Proto = ProtoV3
 	return srv, ep, hs.Close
 }
 
@@ -70,8 +68,8 @@ func TestV3EndToEnd(t *testing.T) {
 	}
 }
 
-// TestV3LeaseAckRedelivery checks the ack-cursor semantics survive the
-// codec swap: an unacked lease is re-delivered byte-identically.
+// TestV3LeaseAckRedelivery checks the ack-cursor semantics over the
+// wire: an unacked lease is re-delivered byte-identically.
 func TestV3LeaseAckRedelivery(t *testing.T) {
 	srv, ep, done := v3Testbed(t, "PAK")
 	defer done()
@@ -94,7 +92,6 @@ func TestV3LeaseAckRedelivery(t *testing.T) {
 	// A second endpoint incarnation that never acked re-leases the same
 	// tasks (fresh ack cursor, server redelivers outstanding).
 	ep2 := NewEndpoint("me-PAK", ep.BaseURL, ep.Dep, rng.New(6))
-	ep2.Proto = ProtoV3
 	again, err := ep2.Lease(2)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +102,7 @@ func TestV3LeaseAckRedelivery(t *testing.T) {
 }
 
 // TestV3UploadIdempotency re-uploads the same batch and expects the
-// duplicate to be dropped by the codec-independent idempotency key.
+// duplicate to be dropped by the content-derived idempotency key.
 func TestV3UploadIdempotency(t *testing.T) {
 	srv, ep, done := v3Testbed(t, "PAK")
 	defer done()
@@ -120,19 +117,10 @@ func TestV3UploadIdempotency(t *testing.T) {
 	if got := len(srv.Results()); got != 1 {
 		t.Fatalf("server retained %d results, want 1 (dedup)", got)
 	}
-	// The same batch over v2 must also dedup: the key hashes content,
-	// not encoding.
-	ep.Proto = ProtoV2
-	if err := ep.Upload(batch); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(srv.Results()); got != 1 {
-		t.Fatalf("cross-codec duplicate ingested: %d results", got)
-	}
 }
 
 // TestV3Backpressure fills the spool with a blocked sink and expects
-// 429 + Retry-After on the v3 route, like v2.
+// 429 + Retry-After on the v3 results route.
 func TestV3Backpressure(t *testing.T) {
 	block := make(chan struct{})
 	sink := &blockingSink{release: block, busy: make(chan struct{})}
@@ -260,8 +248,8 @@ func TestV3RejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestV3LeaseClampsMax mirrors the v2 clamp: a huge Max must not drain
-// more than maxLeaseBatch tasks in one response.
+// TestV3LeaseClampsMax: a huge Max must not drain more than
+// maxLeaseBatch tasks in one response.
 func TestV3LeaseClampsMax(t *testing.T) {
 	srv, ep, done := v3Testbed(t, "PAK")
 	defer done()
@@ -281,35 +269,6 @@ func TestV3LeaseClampsMax(t *testing.T) {
 	}
 	if len(tasks) != maxLeaseBatch {
 		t.Fatalf("leased %d tasks, want clamp at %d", len(tasks), maxLeaseBatch)
-	}
-}
-
-// TestWithMaxProtoV2 pins that WithMaxProto(2) leaves the v3 routes
-// unmounted.
-func TestWithMaxProtoV2(t *testing.T) {
-	srv := NewServer(nil, WithMaxProto(2))
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	frame := wire.AppendLeaseRequest(nil, wire.LeaseRequest{ME: "me-X", Max: 1})
-	req, _ := http.NewRequest(http.MethodPost, hs.URL+"/v3/tasks/lease", bytes.NewReader(frame))
-	req.Header.Set("Content-Type", wire.ContentType)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("v3 route with WithMaxProto(2): %d, want 404", resp.StatusCode)
-	}
-	// The v2 routes still work.
-	resp2, err := http.Post(hs.URL+"/v1/register", "application/json",
-		strings.NewReader(`{"me":"me-X","country":"PAK"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drainClose(resp2)
-	if resp2.StatusCode != http.StatusNoContent {
-		t.Fatalf("v1 register under WithMaxProto(2): %d", resp2.StatusCode)
 	}
 }
 

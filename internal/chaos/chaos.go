@@ -35,7 +35,7 @@
 //
 // Every decision is drawn from a stateless labeled stream
 // (rng.Stream(seed, label)) whose label encodes the ME name, its
-// incarnation (restart count), the operation ("POST /v2/tasks/lease"),
+// incarnation (restart count), the operation ("POST /v3/tasks/lease"),
 // and the per-operation wire attempt. An ME issues its requests
 // sequentially, so its label sequence — and therefore its fault
 // schedule — is a pure function of the seed, independent of worker
@@ -176,7 +176,7 @@ func (c Config) maxCompactKills() int {
 type Event struct {
 	ME      string `json:"me"`
 	Inc     int    `json:"inc"`     // ME incarnation (0 = first run)
-	Op      string `json:"op"`      // "POST /v2/results", "crash", ...
+	Op      string `json:"op"`      // "POST /v3/results", "crash", ...
 	Attempt int    `json:"attempt"` // per-(ME, op) wire attempt / batch round
 	Fault   string `json:"fault"`   // "reset-before", "truncate", "503", ...
 }
@@ -192,15 +192,15 @@ type Injector struct {
 	seed int64
 	cfg  Config
 
-	mu         sync.Mutex
-	events     []Event
-	meSeq      map[string]int // per-ME append order, for canonical sorting
-	crashes    map[string]int // injected crashes so far, per ME
-	mwSeen     map[string]int // per-(ME, op) middleware attempt counters
-	faults     map[string]int // injected faults so far, per kind
-	shardKills   int          // injected shard kills so far, fleet-wide
-	compactKills int          // injected compaction kills so far, fleet-wide
-	clk          vclock.Clock // latency-spike time source (nil = wall)
+	mu           sync.Mutex
+	events       []Event
+	meSeq        map[string]int // per-ME append order, for canonical sorting
+	crashes      map[string]int // injected crashes so far, per ME
+	mwSeen       map[string]int // per-(ME, op) middleware attempt counters
+	faults       map[string]int // injected faults so far, per kind
+	shardKills   int            // injected shard kills so far, fleet-wide
+	compactKills int            // injected compaction kills so far, fleet-wide
+	clk          vclock.Clock   // latency-spike time source (nil = wall)
 }
 
 // FaultKinds are the fault labels an Injector can record, in canonical

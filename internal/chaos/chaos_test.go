@@ -38,7 +38,7 @@ func roundTrips(t *testing.T, inj *Injector, hs *httptest.Server, n int) (ok, er
 	t.Helper()
 	rt := inj.Transport("me-X", 0, hs.Client().Transport)
 	for i := 0; i < n; i++ {
-		req, err := http.NewRequest(http.MethodPost, hs.URL+"/v2/results", strings.NewReader(`{"n":1}`))
+		req, err := http.NewRequest(http.MethodPost, hs.URL+"/v3/results", strings.NewReader(`{"n":1}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestTransportTruncationFailsDecode(t *testing.T) {
 	hs, _ := countingServer(t)
 	inj := NewInjector(1, Config{Truncate: 1})
 	rt := inj.Transport("me-X", 0, hs.Client().Transport)
-	req, _ := http.NewRequest(http.MethodGet, hs.URL+"/v2/tasks/lease", nil)
+	req, _ := http.NewRequest(http.MethodGet, hs.URL+"/v3/tasks/lease", nil)
 	resp, err := rt.RoundTrip(req)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestMiddlewareSparesUnmarkedTraffic(t *testing.T) {
 		t.Fatalf("unmarked request: code %d reached %d", rec.Code, reached)
 	}
 	// Marked request storms with Retry-After, before the handler runs.
-	req := httptest.NewRequest(http.MethodPost, "/v2/results", nil)
+	req := httptest.NewRequest(http.MethodPost, "/v3/results", nil)
 	req.Header.Set(MEHeader, "me-A")
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, req)

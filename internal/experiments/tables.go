@@ -189,23 +189,26 @@ func (r *Runner) Table4() (*report.Table, error) {
 		if err := ep.Heartbeat(); err != nil {
 			return nil, err
 		}
+		var tasks []amigo.Task
 		for _, base := range kinds {
 			for _, config := range []string{"sim", "esim"} {
 				for i := 0; i < perTool; i++ {
 					task := base
 					task.Config = config
-					if _, err := srv.Schedule("me-"+iso, task); err != nil {
-						return nil, err
-					}
+					tasks = append(tasks, task)
 				}
 			}
 		}
+		if _, err := srv.ScheduleBatch("me-"+iso, tasks); err != nil {
+			return nil, err
+		}
+		// One lease carries the ME's whole schedule.
 		for {
-			more, err := ep.RunOnce()
+			n, err := ep.RunBatch(len(tasks))
 			if err != nil {
 				return nil, err
 			}
-			if !more {
+			if n == 0 {
 				break
 			}
 		}

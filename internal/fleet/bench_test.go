@@ -15,29 +15,25 @@ import (
 
 // BenchmarkFleetThroughput measures control-plane results/sec at fleet
 // scale: N registered MEs draining a fixed task backlog over real HTTP
-// on loopback, via the v1 one-task-per-poll protocol, the v2 JSON
-// batch protocol, and the v3 binary batch protocol. Task execution is
-// stubbed with a canned result so the benchmark isolates the serving
+// on loopback, leasing and uploading v3 frame batches. Task execution
+// is stubbed with a canned result so the benchmark isolates the serving
 // path (registry sharding, lease/upload round trips, codec, spool)
-// rather than the measurement simulation. v2 should sustain >= 5x v1
-// and v3 >= 3x v2 at 1000 MEs.
+// rather than the measurement simulation. The row names keep their
+// "v3/" prefix so snapshots stay comparable with older ones.
 func BenchmarkFleetThroughput(b *testing.B) {
 	for _, mes := range []int{100, 1000, 10000} {
-		for _, proto := range []string{"v1", "v2", "v3"} {
-			name := fmt.Sprintf("%s/mes=%d", proto, mes)
-			b.Run(name, func(b *testing.B) {
-				if mes >= 10000 && testing.Short() {
-					b.Skip("10k MEs skipped in -short smoke runs")
-				}
-				benchThroughput(b, mes, proto, 1)
-			})
-		}
+		b.Run(fmt.Sprintf("v3/mes=%d", mes), func(b *testing.B) {
+			if mes >= 10000 && testing.Short() {
+				b.Skip("10k MEs skipped in -short smoke runs")
+			}
+			benchThroughput(b, mes, 1)
+		})
 	}
-	// The sharded row: the same v3 drain through a 4-shard gateway
+	// The sharded row: the same drain through a 4-shard gateway
 	// (in-memory sinks), isolating the routing-peek overhead and the
 	// registry/queue contention relief that sharding buys.
 	b.Run("v3-shards4/mes=1000", func(b *testing.B) {
-		benchThroughput(b, 1000, "v3", 4)
+		benchThroughput(b, 1000, 4)
 	})
 }
 
@@ -47,7 +43,7 @@ func BenchmarkFleetThroughput(b *testing.B) {
 const benchTasksPerME = 64
 
 // benchFleet is the benchmark fixture: the control plane (possibly
-// sharded), the registered MEs, and the per-protocol drain loop.
+// sharded), the registered MEs, and the drain loop.
 // Everything it takes to build one — server construction, WAL/gateway
 // wiring, ME registration, HTTP transport — happens in newBenchFleet,
 // strictly before b.ResetTimer; the timed region of the benchmark is
@@ -71,7 +67,7 @@ func (f *benchFleet) schedule(b *testing.B) {
 	}
 }
 
-func newBenchFleet(b *testing.B, mes int, proto string, shards int) *benchFleet {
+func newBenchFleet(b *testing.B, mes, shards int) *benchFleet {
 	const workers = 32
 	const leaseBatch = 64
 
@@ -101,7 +97,7 @@ func newBenchFleet(b *testing.B, mes int, proto string, shards int) *benchFleet 
 	}}
 
 	// Canned payloads stand in for typical observations of each tool so
-	// the codecs move representative bytes: speedtests are small, mtr
+	// the codec moves representative bytes: speedtests are small, mtr
 	// traces carry a multi-hop list (the bulk of a real campaign's
 	// upload volume), dns is in between.
 	canned := map[string]json.RawMessage{
@@ -127,83 +123,18 @@ func newBenchFleet(b *testing.B, mes int, proto string, shards int) *benchFleet 
 		serverFor(names[i]).Register(names[i], "PAK")
 	}
 
-	post := func(path string, body any) (*http.Response, error) {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			return nil, err
-		}
-		return client.Post(hs.URL+path, "application/json", bytes.NewReader(buf))
-	}
 	finish := func(resp *http.Response) int {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		return resp.StatusCode
 	}
 
-	drainV1 := func(me string) error {
-		for {
-			resp, err := client.Get(hs.URL + "/v1/tasks?me=" + me)
-			if err != nil {
-				return err
-			}
-			if resp.StatusCode == http.StatusNoContent {
-				finish(resp)
-				return nil
-			}
-			var task amigo.Task
-			err = json.NewDecoder(resp.Body).Decode(&task)
-			finish(resp)
-			if err != nil {
-				return err
-			}
-			up, err := post("/v1/results", amigo.Result{TaskID: task.ID, ME: me, Kind: task.Kind, Config: task.Config, OK: true, Payload: canned[task.Kind]})
-			if err != nil {
-				return err
-			}
-			if code := finish(up); code >= 300 {
-				return fmt.Errorf("v1 upload: HTTP %d", code)
-			}
-		}
-	}
-	drainV2 := func(me string) error {
-		ack := 0 // v2 leases are at-least-once: ack the previous batch or it is re-delivered
-		for {
-			resp, err := post("/v2/tasks/lease", map[string]any{"me": me, "max": leaseBatch, "ack": ack})
-			if err != nil {
-				return err
-			}
-			if resp.StatusCode == http.StatusNoContent {
-				finish(resp)
-				return nil
-			}
-			var tasks []amigo.Task
-			err = json.NewDecoder(resp.Body).Decode(&tasks)
-			finish(resp)
-			if err != nil {
-				return err
-			}
-			if n := len(tasks); n > 0 {
-				ack = tasks[n-1].ID
-			}
-			results := make([]amigo.Result, len(tasks))
-			for i, task := range tasks {
-				results[i] = amigo.Result{TaskID: task.ID, ME: me, Kind: task.Kind, Config: task.Config, OK: true, Payload: canned[task.Kind]}
-			}
-			up, err := post("/v2/results", results)
-			if err != nil {
-				return err
-			}
-			if code := finish(up); code >= 300 {
-				return fmt.Errorf("v2 upload: HTTP %d", code)
-			}
-		}
-	}
-
-	// drainV3 is drainV2 over binary frames: one encode buffer, read
-	// buffer, decoder and scratch per ME drain, reused across rounds —
-	// the steady state allocates nothing per round trip beyond what
-	// net/http itself does.
-	drainV3 := func(me string) error {
+	// drain leases and uploads until the ME's queue is empty, acking
+	// each batch on the next lease (unacked batches are re-delivered).
+	// One encode buffer, read buffer, decoder and scratch per ME drain,
+	// reused across rounds — the steady state allocates nothing per
+	// round trip beyond what net/http itself does.
+	drain := func(me string) error {
 		ebuf := wire.GetBuf()
 		defer wire.PutBuf(ebuf)
 		rbuf := wire.GetBuf()
@@ -257,19 +188,12 @@ func newBenchFleet(b *testing.B, mes int, proto string, shards int) *benchFleet 
 		}
 	}
 
-	drain := drainV1
-	switch proto {
-	case "v2":
-		drain = drainV2
-	case "v3":
-		drain = drainV3
-	}
 	return &benchFleet{names: names, serverFor: serverFor, drain: drain, taskTmpl: taskTmpl}
 }
 
-func benchThroughput(b *testing.B, mes int, proto string, shards int) {
+func benchThroughput(b *testing.B, mes, shards int) {
 	const workers = 32
-	f := newBenchFleet(b, mes, proto, shards)
+	f := newBenchFleet(b, mes, shards)
 
 	// Timer discipline: fixture construction above is untimed; each
 	// iteration re-schedules the backlog off the clock and times only

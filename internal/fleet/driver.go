@@ -25,8 +25,8 @@ import (
 // Driver runs a fleet campaign against a live AmiGo control server.
 type Driver struct {
 	// BaseURL is the control server ("http://127.0.0.1:8080"). The
-	// server must expose both the /v1+/v2 Handler and the
-	// AdminHandler routes.
+	// server must expose both the amigo Handler routes (/v1/, /v2/,
+	// /v3/) and the AdminHandler routes.
 	BaseURL string
 	// Client is the HTTP client shared by every ME; nil gets a
 	// keep-alive-tuned default (the fleet would otherwise exhaust
@@ -40,12 +40,13 @@ type Driver struct {
 	// ME-to-worker assignment — and with it the quiescence schedule and
 	// final virtual timestamp — depend on scheduling instead of the seed.
 	Workers int
-	// LeaseBatch is the max tasks leased per v2 round trip (default 32).
+	// LeaseBatch is the max tasks leased per round trip (default 32).
 	LeaseBatch int
-	// Proto selects the batch protocol every ME speaks: "v2" (JSON, the
-	// default — "" means v2) or "v3" (binary wire frames). The ingested
-	// dataset is identical either way (TestFleetProtoEquivalence); v3
-	// exists to cut control-plane CPU at fleet scale.
+	// Proto must be "" or amigo.ProtoV3: v3 frames are the only
+	// lease/upload protocol, so the field selects nothing. It exists
+	// only because the repository benchmark (perfbench) still sets it;
+	// once that caller drops it, so can the field. Any other value
+	// fails Run.
 	Proto string
 	// StreamLabel names the campaign's parent rng fork (default
 	// "fleet"; "table4" reproduces the in-process device campaign's
@@ -217,10 +218,8 @@ func (d *Driver) Run(w *airalo.World, plan Plan) (*Campaign, error) {
 			return nil, fmt.Errorf("fleet: no deployment for country %q", sc.ISO)
 		}
 	}
-	switch d.Proto {
-	case "", amigo.ProtoV2, amigo.ProtoV3:
-	default:
-		return nil, fmt.Errorf("fleet: unknown protocol %q (want v2 or v3)", d.Proto)
+	if d.Proto != "" && d.Proto != amigo.ProtoV3 {
+		return nil, fmt.Errorf("fleet: unknown protocol %q (v3 is the only one)", d.Proto)
 	}
 	d.initObs()
 	client := d.client()
@@ -356,7 +355,10 @@ func (d *Driver) runME(client *http.Client, sc MESchedule, dep *airalo.Deploymen
 // heartbeat, then lease/execute/upload until drained. It reports
 // crashed=true when the chaos injector kills the ME between batches.
 // The first successful schedule pins the server-assigned task IDs into
-// tasks (in place), so a shard-recovery re-schedule reuses them.
+// tasks (in place), so a shard-recovery re-schedule reuses them; a
+// schedule response with the wrong number of IDs is an error, because
+// unpinned IDs would let a later recovery replay under fresh IDs that
+// Ingest's (ME, task ID) dedup cannot match.
 func (d *Driver) runIncarnation(client *http.Client, sc MESchedule, dep *airalo.Deployment, seed int64, inc int, scheduled *bool, tasks []amigo.Task) (crashed bool, err error) {
 	ctx := context.Background()
 	if d.Straggler > 0 {
@@ -374,7 +376,6 @@ func (d *Driver) runIncarnation(client *http.Client, sc MESchedule, dep *airalo.
 	ep.Client = client
 	ep.Ctx = ctx
 	ep.Obs = d.Obs
-	ep.Proto = d.Proto
 	ep.Clock = d.clock()
 	ep.Realize = d.Realize
 	if d.Chaos != nil {
@@ -393,10 +394,11 @@ func (d *Driver) runIncarnation(client *http.Client, sc MESchedule, dep *airalo.
 		if err != nil {
 			return false, err
 		}
-		if len(ids) == len(tasks) {
-			for i := range tasks {
-				tasks[i].ID = ids[i]
-			}
+		if len(ids) != len(tasks) {
+			return false, fmt.Errorf("fleet: schedule %s: server returned %d task IDs for %d tasks", sc.Name, len(ids), len(tasks))
+		}
+		for i := range tasks {
+			tasks[i].ID = ids[i]
 		}
 		*scheduled = true
 	} else if err := ep.Redeliver(); err != nil {
@@ -505,10 +507,10 @@ func (d *Driver) fetchResults(client *http.Client, cursor int) ([]amigo.Result, 
 }
 
 // RunInProcess executes the same plan the way the paper's campaign ran:
-// serially, one ME at a time, over the v1 one-task-per-poll protocol
-// against a private control server. It is the oracle the fleet driver
-// is cross-checked against: for equal (seed, label, heartbeat, plan) it
-// produces byte-identical ingested datasets.
+// serially, one ME at a time, against a private control server, each ME
+// leasing its whole schedule in one batch. It is the oracle the fleet
+// driver is cross-checked against: for equal (seed, label, heartbeat,
+// plan) it produces byte-identical ingested datasets.
 func RunInProcess(w *airalo.World, plan Plan, seed int64, label string, heartbeat bool) (*Campaign, error) {
 	plan = plan.withDefaults()
 	scheds := plan.Schedules()
@@ -536,11 +538,11 @@ func RunInProcess(w *airalo.World, plan Plan, seed int64, label string, heartbea
 			}
 		}
 		for {
-			more, err := ep.RunOnce()
+			n, err := ep.RunBatch(len(sc.Tasks))
 			if err != nil {
 				return nil, err
 			}
-			if !more {
+			if n == 0 {
 				break
 			}
 		}

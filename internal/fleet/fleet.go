@@ -2,7 +2,7 @@
 // over the real HTTP control plane. The paper's testbed topped out at
 // ten rooted phones; fleet drives thousands of concurrent simulated
 // measurement endpoints (MEs) through the same register → lease →
-// execute → upload protocol (internal/amigo, v2 batch endpoints) and
+// execute → upload protocol (internal/amigo, v3 frame batches) and
 // folds the uploaded payloads back into core dataset records, so Table
 // 4 counts and Figure 11-style RTT aggregates can be regenerated from
 // fleet output and cross-checked against the in-process campaign.
@@ -22,8 +22,8 @@
 //     sorting results into canonical (ME, task) order, making the
 //     ingested dataset deterministic even though uploads interleave.
 //
-// RunInProcess executes the same plan serially through the v1
-// one-task-per-poll protocol — the shape of the paper's original
+// RunInProcess executes the same plan serially, one ME at a time
+// against a private server — the shape of the paper's original
 // campaign — which is what the equivalence tests compare against.
 package fleet
 

@@ -3,8 +3,10 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"roamsim/internal/airalo"
@@ -28,8 +30,8 @@ func testWorld(t testing.TB) *airalo.World {
 	return sharedWorld
 }
 
-// newControlServer stands up a full control server (v1+v2+v3 + admin)
-// the way cmd/amigo-server wires it.
+// newControlServer stands up a full control server (the /v1/, /v2/ and
+// /v3/ protocol routes + admin) the way cmd/amigo-server wires it.
 func newControlServer(t testing.TB, opts ...amigo.Option) (*amigo.Server, *httptest.Server) {
 	t.Helper()
 	srv := amigo.NewServer(nil, opts...)
@@ -161,9 +163,9 @@ func TestFleetDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // TestFleetMatchesInProcessCampaign cross-checks the HTTP fleet driver
-// against the serial v1 in-process campaign for the same seed: the
-// ingested datasets, Table 4 counts, and RTT aggregates must be
-// byte-identical.
+// against the serial in-process campaign (RunInProcess) for the same
+// seed: the ingested datasets, Table 4 counts, and RTT aggregates must
+// be byte-identical.
 func TestFleetMatchesInProcessCampaign(t *testing.T) {
 	w := testWorld(t)
 	plan := Plan{
@@ -231,5 +233,52 @@ func TestFleetTable4MatchesExperiments(t *testing.T) {
 	got := Table4(ds, camp.Plan).String()
 	if want := wantTable.String(); got != want {
 		t.Fatalf("fleet Table 4 differs from experiments Table 4:\nfleet:\n%s\nexperiments:\n%s", got, want)
+	}
+}
+
+// TestDriverRejectsUnknownProto pins the Driver.Proto contract: v3 is
+// the only protocol, so anything but "" or "v3" — including the removed
+// "v2" — fails fast instead of silently running something else.
+func TestDriverRejectsUnknownProto(t *testing.T) {
+	w := testWorld(t)
+	_, hs := newControlServer(t)
+	for _, proto := range []string{"v2", "v9"} {
+		d := &Driver{BaseURL: hs.URL, Seed: testSeed, Proto: proto}
+		if _, err := d.Run(w, chaosTestPlan()); err == nil {
+			t.Errorf("Run accepted protocol %q", proto)
+		}
+	}
+}
+
+// TestScheduleIDCountMismatch: a control server (here an external
+// stand-in) whose schedule response carries the wrong number of task
+// IDs fails the ME loudly, naming it and both counts. Running on with
+// unpinned IDs would let a later shard recovery replay the schedule
+// under fresh IDs that Ingest's (ME, task ID) dedup cannot match.
+func TestScheduleIDCountMismatch(t *testing.T) {
+	world := testWorld(t)
+	plan := Plan{Countries: []string{"PAK"}, Tasks: []amigo.Task{{Kind: "dns"}},
+		Configs: []string{"sim", "esim"}, Reps: 2}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/register", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNoContent)
+	})
+	mux.HandleFunc("POST /admin/schedule", func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"task_ids":[1,2,3]}`) // one short of the 4 scheduled
+	})
+	mux.HandleFunc("GET /admin/results", func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"cursor":0,"results":[]}`)
+	})
+	hs := httptest.NewServer(mux)
+	defer hs.Close()
+	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: 1}
+	_, err := d.Run(world, plan)
+	if err == nil {
+		t.Fatal("Run accepted a schedule response with 3 task IDs for 4 tasks")
+	}
+	for _, want := range []string{"me-PAK", "3 task IDs", "4 tasks"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }

@@ -26,6 +26,7 @@ func newObsControlServer(t testing.TB, reg *obs.Registry, inj *chaos.Injector) *
 	h := srv.Handler()
 	mux.Handle("/v1/", h)
 	mux.Handle("/v2/", h)
+	mux.Handle("/v3/", h)
 	mux.Handle("/admin/", srv.AdminHandler())
 	var root http.Handler = mux
 	if inj != nil {

@@ -17,7 +17,7 @@ import (
 // reshard scenarios need: every reshard drops every ME's server-side
 // registration at once, so each ME burns one recovery per reshard on
 // top of whatever chaos injects.
-func runReshardCampaign(t *testing.T, proto string, cfg ShardedConfig, inj *chaos.Injector, reg *obs.Registry) (dsBlob []byte, table4, rtt string, f *ShardedFleet) {
+func runReshardCampaign(t *testing.T, cfg ShardedConfig, inj *chaos.Injector, reg *obs.Registry) (dsBlob []byte, table4, rtt string, f *ShardedFleet) {
 	t.Helper()
 	w := testWorld(t)
 	plan := chaosTestPlan()
@@ -34,7 +34,7 @@ func runReshardCampaign(t *testing.T, proto string, cfg ShardedConfig, inj *chao
 	t.Cleanup(hs.Close)
 	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: 4,
 		LeaseBatch: 4, StreamLabel: "chaos-eq", Heartbeat: true,
-		Chaos: inj, Proto: proto, Obs: reg, RestartBudget: 8}
+		Chaos: inj, Obs: reg, RestartBudget: 8}
 	camp, err := d.Run(w, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -76,10 +76,10 @@ func ingestReplay(t *testing.T, replayed []amigo.Result) []byte {
 // compaction riding along — must ingest the byte-identical dataset,
 // Table 4, and RTT summary as the clean single-server run, and a cold
 // replay of the final epoch's WAL set alone must rebuild that same
-// dataset. Sharding topology changes, like shard kills and the wire
-// codec, are deployment details that must never change data.
+// dataset. Sharding topology changes, like shard kills, are deployment
+// details that must never change data.
 func TestReshardEquivalence(t *testing.T) {
-	wantDS, wantT4, wantRTT := runProtoCampaign(t, amigo.ProtoV2, nil, 1)
+	wantDS, wantT4, wantRTT := runChaosCampaign(t, nil, 1)
 
 	for _, compactAfter := range []int{0, 2} {
 		t.Run(fmt.Sprintf("compactAfter=%d", compactAfter), func(t *testing.T) {
@@ -95,7 +95,7 @@ func TestReshardEquivalence(t *testing.T) {
 					{AfterUploads: 9, Shards: 2},
 				},
 			}
-			gotDS, gotT4, gotRTT, f := runReshardCampaign(t, amigo.ProtoV3, cfg, nil, reg)
+			gotDS, gotT4, gotRTT, f := runReshardCampaign(t, cfg, nil, reg)
 
 			if err := f.ReshardErr(); err != nil {
 				t.Fatalf("reshard failed: %v", err)
@@ -168,21 +168,21 @@ func TestReshardEquivalence(t *testing.T) {
 // the surviving WALs (which must arbitrate artifact vs sources on
 // reopen) to rebuild it.
 func TestCompactionCrashRecovery(t *testing.T) {
-	wantDS, wantT4, _ := runProtoCampaign(t, amigo.ProtoV2, nil, 1)
+	wantDS, wantT4, _ := runChaosCampaign(t, nil, 1)
 
 	reg := obs.NewRegistry()
 	walDir := t.TempDir()
 	cfg := ShardedConfig{
 		Shards: 2, WALDir: walDir,
-		SegmentBytes: 1024, // many small segments: compaction fires early
-		CompactAfter: 2,
-		Obs:          reg,
+		SegmentBytes:     1024, // many small segments: compaction fires early
+		CompactAfter:     2,
+		Obs:              reg,
 		ForceCompactKill: true,
 		// Crash the shard that owns an ME in this small plan; placement
 		// is a pure function of the name.
 		ForceCompactKillShard: shard.NewRing(2).Shard("me-PAK-0"),
 	}
-	gotDS, gotT4, _, f := runReshardCampaign(t, amigo.ProtoV3, cfg, nil, reg)
+	gotDS, gotT4, _, f := runReshardCampaign(t, cfg, nil, reg)
 
 	if f.CompactKills() == 0 {
 		t.Fatal("no compact-kill fired; the test proved nothing")
@@ -221,7 +221,7 @@ func TestCompactionCrashRecovery(t *testing.T) {
 // chaos schedule — on top of heavy client/server chaos — instead of the
 // deterministic one-shot, and requires the same data invariants.
 func TestCompactionChaosSchedule(t *testing.T) {
-	wantDS, _, _ := runProtoCampaign(t, amigo.ProtoV2, nil, 1)
+	wantDS, _, _ := runChaosCampaign(t, nil, 1)
 
 	ccfg := chaos.Heavy()
 	ccfg.CompactKill = 0.9
@@ -236,7 +236,7 @@ func TestCompactionChaosSchedule(t *testing.T) {
 		Chaos:        inj,
 		Obs:          reg,
 	}
-	gotDS, _, _, f := runReshardCampaign(t, amigo.ProtoV3, cfg, inj, reg)
+	gotDS, _, _, f := runReshardCampaign(t, cfg, inj, reg)
 
 	if f.CompactKills() == 0 {
 		t.Skip("seeded schedule injected no compact-kill at this seed; covered by the force-kill test")

@@ -83,18 +83,18 @@ type ShardedFleet struct {
 	kills   int             // shard kills performed; guarded by mu
 	forced  bool            // the ForceKill one-shot has fired; guarded by mu
 
-	epoch         int               // live WAL epoch, bumped per reshard; guarded by mu
-	total         int               // accepted uploads fleet-wide, across epochs; guarded by mu
-	nextReshard   int               // next cfg.Reshards step to fire; guarded by mu
-	resharding    bool              // a reshard is in flight; guarded by mu
-	reshards      int               // reshards completed; guarded by mu
+	epoch         int                // live WAL epoch, bumped per reshard; guarded by mu
+	total         int                // accepted uploads fleet-wide, across epochs; guarded by mu
+	nextReshard   int                // next cfg.Reshards step to fire; guarded by mu
+	resharding    bool               // a reshard is in flight; guarded by mu
+	reshards      int                // reshards completed; guarded by mu
 	lastReshard   shard.ReshardStats // stats of the latest reshard; guarded by mu
-	reshardErr    error             // first reshard failure; guarded by mu
-	compactPoints map[int]int       // compaction crash points seen per shard; guarded by mu
-	compactForced bool              // the ForceCompactKill one-shot has fired; guarded by mu
-	compactKills  int               // compact-kills performed; guarded by mu
-	compactErr    error             // first non-crash compaction failure; guarded by mu
-	wg            sync.WaitGroup    // in-flight reshard goroutine
+	reshardErr    error              // first reshard failure; guarded by mu
+	compactPoints map[int]int        // compaction crash points seen per shard; guarded by mu
+	compactForced bool               // the ForceCompactKill one-shot has fired; guarded by mu
+	compactKills  int                // compact-kills performed; guarded by mu
+	compactErr    error              // first non-crash compaction failure; guarded by mu
+	wg            sync.WaitGroup     // in-flight reshard goroutine
 }
 
 // NewShardedFleet builds the shard servers, their sinks, and the
@@ -279,9 +279,7 @@ func (f *ShardedFleet) backend(i int, srv *amigo.Server) http.Handler {
 	})
 }
 
-func isUploadPath(path string) bool {
-	return path == "/v1/results" || path == "/v2/results" || path == "/v3/results"
-}
+func isUploadPath(path string) bool { return path == "/v3/results" }
 
 type statusRecorder struct {
 	http.ResponseWriter

@@ -18,7 +18,7 @@ import (
 // sharded control plane and returns the ingested artifacts plus the
 // harness and driver for post-run assertions. The WAL lives in a test
 // tempdir with a tiny segment size so rotation is exercised.
-func runShardedCampaign(t *testing.T, proto string, cfg ShardedConfig, inj *chaos.Injector, reg *obs.Registry, workers int, clk vclock.Clock) (dsBlob []byte, table4, rtt string, f *ShardedFleet) {
+func runShardedCampaign(t *testing.T, cfg ShardedConfig, inj *chaos.Injector, reg *obs.Registry, workers int, clk vclock.Clock) (dsBlob []byte, table4, rtt string, f *ShardedFleet) {
 	t.Helper()
 	w := testWorld(t)
 	plan := chaosTestPlan()
@@ -35,7 +35,7 @@ func runShardedCampaign(t *testing.T, proto string, cfg ShardedConfig, inj *chao
 	t.Cleanup(hs.Close)
 	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: workers,
 		LeaseBatch: 4, StreamLabel: "chaos-eq", Heartbeat: true,
-		Chaos: inj, Proto: proto, Obs: reg, Clock: clk}
+		Chaos: inj, Obs: reg, Clock: clk}
 	camp, err := d.Run(w, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -52,54 +52,51 @@ func runShardedCampaign(t *testing.T, proto string, cfg ShardedConfig, inj *chao
 }
 
 // TestShardedFleetEquivalence is the sharding differential test: the
-// same seeded campaign, driven over v2 JSON or v3 binary frames,
-// against 1 shard or 4 shards with durable WAL sinks, must ingest the
-// byte-identical dataset, Table 4, and RTT summary as the clean
-// single-server run. Placement is a pure function of ME name, so
-// sharding — like the wire codec — is a deployment detail that must
-// never change data.
+// same seeded campaign, against 1 shard or 4 shards with durable WAL
+// sinks, must ingest the byte-identical dataset, Table 4, and RTT
+// summary as the clean single-server run. Placement is a pure function
+// of ME name, so sharding is a deployment detail that must never change
+// data.
 func TestShardedFleetEquivalence(t *testing.T) {
-	wantDS, wantT4, wantRTT := runProtoCampaign(t, amigo.ProtoV2, nil, 1)
+	wantDS, wantT4, wantRTT := runChaosCampaign(t, nil, 1)
 	if len(wantDS) == 0 || wantT4 == "" || wantRTT == "" {
 		t.Fatal("empty baseline artifacts")
 	}
-	for _, proto := range []string{amigo.ProtoV2, amigo.ProtoV3} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", proto, shards), func(t *testing.T) {
-				cfg := ShardedConfig{
-					Shards: shards, WALDir: t.TempDir(),
-					SegmentBytes: 4096, // force rotation mid-campaign
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := ShardedConfig{
+				Shards: shards, WALDir: t.TempDir(),
+				SegmentBytes: 4096, // force rotation mid-campaign
+			}
+			gotDS, gotT4, gotRTT, f := runShardedCampaign(t, cfg, nil, nil, 4, nil)
+			if !bytes.Equal(gotDS, wantDS) {
+				t.Error("sharded dataset differs from single-server baseline")
+			}
+			if gotT4 != wantT4 {
+				t.Errorf("Table 4 differs:\nsharded:\n%s\nbaseline:\n%s", gotT4, wantT4)
+			}
+			if gotRTT != wantRTT {
+				t.Errorf("RTT summary differs:\nsharded:\n%s\nbaseline:\n%s", gotRTT, wantRTT)
+			}
+			// The WALs must actually have been written and rotated, or
+			// the durability half of this test proved nothing.
+			records, segments := 0, 0
+			for i := 0; i < shards; i++ {
+				wal := f.WAL(i)
+				if err := wal.Err(); err != nil {
+					t.Fatalf("shard %d WAL error: %v", i, err)
 				}
-				gotDS, gotT4, gotRTT, f := runShardedCampaign(t, proto, cfg, nil, nil, 4, nil)
-				if !bytes.Equal(gotDS, wantDS) {
-					t.Error("sharded dataset differs from single-server baseline")
-				}
-				if gotT4 != wantT4 {
-					t.Errorf("Table 4 differs:\nsharded:\n%s\nbaseline:\n%s", gotT4, wantT4)
-				}
-				if gotRTT != wantRTT {
-					t.Errorf("RTT summary differs:\nsharded:\n%s\nbaseline:\n%s", gotRTT, wantRTT)
-				}
-				// The WALs must actually have been written and rotated, or
-				// the durability half of this test proved nothing.
-				records, segments := 0, 0
-				for i := 0; i < shards; i++ {
-					wal := f.WAL(i)
-					if err := wal.Err(); err != nil {
-						t.Fatalf("shard %d WAL error: %v", i, err)
-					}
-					records += wal.Len()
-					n, _ := wal.Segments()
-					segments += n
-				}
-				if records == 0 {
-					t.Error("no results reached any WAL")
-				}
-				if segments <= shards {
-					t.Errorf("no WAL rotated (%d segments over %d shards) — shrink SegmentBytes", segments, shards)
-				}
-			})
-		}
+				records += wal.Len()
+				n, _ := wal.Segments()
+				segments += n
+			}
+			if records == 0 {
+				t.Error("no results reached any WAL")
+			}
+			if segments <= shards {
+				t.Errorf("no WAL rotated (%d segments over %d shards) — shrink SegmentBytes", segments, shards)
+			}
+		})
 	}
 }
 
@@ -123,7 +120,7 @@ func TestShardCrashRecoveryVirtual(t *testing.T) {
 }
 
 func runShardCrashRecoveryCases(t *testing.T, mkClock func() vclock.Clock) {
-	wantDS, wantT4, _ := runProtoCampaign(t, amigo.ProtoV2, nil, 1)
+	wantDS, wantT4, _ := runChaosCampaign(t, nil, 1)
 
 	cases := []struct {
 		name string
@@ -165,7 +162,7 @@ func runShardCrashRecoveryCases(t *testing.T, mkClock func() vclock.Clock) {
 			walDir := t.TempDir()
 			cfg := ShardedConfig{Shards: 4, WALDir: walDir, SegmentBytes: 4096, Chaos: inj}
 			tc.mod(&cfg)
-			gotDS, gotT4, _, f := runShardedCampaign(t, amigo.ProtoV3, cfg, inj, reg, 4, mkClock())
+			gotDS, gotT4, _, f := runShardedCampaign(t, cfg, inj, reg, 4, mkClock())
 
 			if f.Kills() == 0 {
 				t.Fatal("no shard was killed; the test proved nothing")
@@ -226,7 +223,7 @@ func TestShardKillDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 1, 4} {
 		inj := mkInj()
 		shardCfg := ShardedConfig{Shards: 4, WALDir: t.TempDir(), Chaos: inj}
-		blob, _, _, _ := runShardedCampaign(t, amigo.ProtoV2, shardCfg, inj, nil, workers, nil)
+		blob, _, _, _ := runShardedCampaign(t, shardCfg, inj, nil, workers, nil)
 		traces = append(traces, inj.TraceString())
 		blobs = append(blobs, blob)
 	}
@@ -238,5 +235,91 @@ func TestShardKillDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(blobs[0], blobs[2]) {
 		t.Error("dataset changed with worker count under shard kills")
+	}
+}
+
+// TestCrashOnReplacedShardReschedules is the regression test for a
+// crashed ME whose shard is replaced between its incarnations:
+//
+//  1. the ME's first incarnation runs one batch, and its upload kills
+//     the ME's shard (ForceKill calls KillShard before the upload's
+//     204 reaches the ME, so the fresh server is in place first);
+//  2. the ME then crashes (Crash: 1, once);
+//  3. its next incarnation re-registers on the fresh server and asks
+//     it to re-deliver the schedule, as runME does after any crash.
+//
+// The fresh server never scheduled the ME, so Requeue must refuse and
+// the ME must re-schedule under its pinned IDs. When Requeue restored
+// "nothing" instead, the lease came back empty and the ME reported a
+// clean drain with every task after its first batch lost. Each step is
+// sequential within the one ME, so no interleaving or load is needed.
+func TestCrashOnReplacedShardReschedules(t *testing.T) {
+	w := testWorld(t)
+	plan := Plan{
+		Countries: []string{"PAK"},
+		Tasks:     []amigo.Task{{Kind: "dns"}, {Kind: "mtr", Target: "Google"}},
+		Configs:   []string{"sim", "esim"}, Reps: 2,
+	}
+	me := plan.Schedules()[0].Name
+	f, err := NewShardedFleet(ShardedConfig{
+		Shards: 2, WALDir: t.TempDir(),
+		ForceKill: true, ForceKillShard: shard.NewRing(2).Shard(me),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	hs := httptest.NewServer(f.Handler())
+	t.Cleanup(hs.Close)
+	inj := chaos.NewInjector(1, chaos.Config{Crash: 1})
+	reg := obs.NewRegistry()
+	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: 1, LeaseBatch: 2,
+		StreamLabel: "chaos-eq", Heartbeat: true, Chaos: inj, Obs: reg}
+	camp, err := d.Run(w, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Kills() != 1 || inj.Counts()["crash"] != 1 {
+		t.Fatalf("kills = %d, crashes = %d; the scenario needs exactly one of each", f.Kills(), inj.Counts()["crash"])
+	}
+	if got := reg.Counter("fleet_shard_recoveries_total").Value(); got != 1 {
+		t.Errorf("shard recoveries = %d, want 1 (the refused requeue)", got)
+	}
+	// Task IDs are allocated 1..N by the first schedule and pinned
+	// across the recovery: each must land, and no other may appear.
+	seen := map[int]bool{}
+	for _, r := range camp.Results {
+		seen[r.TaskID] = true
+	}
+	n := plan.TasksPerME()
+	for id := 1; id <= n; id++ {
+		if !seen[id] {
+			t.Errorf("task %d never landed", id)
+		}
+	}
+	if len(seen) != n {
+		t.Errorf("%d distinct task IDs landed, want %d", len(seen), n)
+	}
+	// After Ingest's (ME, task ID) dedup each task is in the dataset
+	// exactly once: the ingested dataset equals a clean run's.
+	ds, err := Ingest(w.Reg, camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(ds)
+	_, clean := newControlServer(t)
+	cd := &Driver{BaseURL: clean.URL, Seed: testSeed, Workers: 1, LeaseBatch: 2,
+		StreamLabel: "chaos-eq", Heartbeat: true}
+	cleanCamp, err := cd.Run(w, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanDS, err := Ingest(w.Reg, cleanCamp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(cleanDS)
+	if !bytes.Equal(got, want) {
+		t.Error("dataset after crash + shard replacement differs from the clean run")
 	}
 }

@@ -67,7 +67,7 @@ var detSubtrees = []string{
 // of those packages (server, transports) drives real HTTP and stays
 // out.
 var detFiles = map[string][]string{
-	"internal/amigo": {"endpoint.go", "endpoint_v3.go"},
+	"internal/amigo": {"endpoint.go"},
 	"internal/fleet": {"ingest.go", "driver.go", "reshard.go"},
 }
 

@@ -24,8 +24,7 @@ const maxBody = 64 << 20
 // routes the gateway understands, in the order they appear in the
 // per-shard request counters.
 var routeNames = []string{
-	"v1/register", "v1/status", "v1/tasks", "v1/results",
-	"v2/lease", "v2/requeue", "v2/results",
+	"v1/register", "v1/status", "v2/requeue",
 	"v3/lease", "v3/results",
 	"admin/schedule",
 }
@@ -106,8 +105,9 @@ func NewGateway(backends []http.Handler, opts Options) *Gateway {
 }
 
 // Mount composes one amigo server's protocol and admin handlers into a
-// single backend the way cmd/roam-fleet self-hosting does: /v1/, /v2/,
-// /v3/ from the protocol handler, /admin/ from the admin handler.
+// single backend the way cmd/roam-fleet self-hosting does: /v1/
+// (register, status), /v2/ (requeue) and /v3/ (lease, results) from the
+// protocol handler, /admin/ from the admin handler.
 func Mount(protocol, admin http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", protocol)
@@ -181,18 +181,12 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	// Data plane: peek the ME, forward whole to its shard.
-	mux.HandleFunc("POST /v1/register", g.routeJSON(0, jsonObjectME))
-	mux.HandleFunc("POST /v1/status", g.routeJSON(1, jsonObjectME))
-	mux.HandleFunc("GET /v1/tasks", func(w http.ResponseWriter, r *http.Request) {
-		g.forward(w, r, r.URL.Query().Get("me"), 2)
-	})
-	mux.HandleFunc("POST /v1/results", g.routeJSON(3, jsonObjectME))
-	mux.HandleFunc("POST /v2/tasks/lease", g.routeJSON(4, jsonObjectME))
-	mux.HandleFunc("POST /v2/tasks/requeue", g.routeJSON(5, jsonObjectME))
-	mux.HandleFunc("POST /v2/results", g.routeJSON(6, jsonArrayME))
-	mux.HandleFunc("POST /v3/tasks/lease", g.routeV3(7))
-	mux.HandleFunc("POST /v3/results", g.routeV3(8))
-	mux.HandleFunc("POST /admin/schedule", g.routeJSON(9, jsonObjectME))
+	mux.HandleFunc("POST /v1/register", g.routeJSON(0))
+	mux.HandleFunc("POST /v1/status", g.routeJSON(1))
+	mux.HandleFunc("POST /v2/tasks/requeue", g.routeJSON(2))
+	mux.HandleFunc("POST /v3/tasks/lease", g.routeV3(3))
+	mux.HandleFunc("POST /v3/results", g.routeV3(4))
+	mux.HandleFunc("POST /admin/schedule", g.routeJSON(5))
 	// Admin read surface: merged views.
 	mux.HandleFunc("GET /admin/results", g.handleMergedResults)
 	mux.HandleFunc("GET /admin/mes", g.handleMergedMEs)
@@ -241,34 +235,17 @@ func jsonObjectME(body []byte) (string, error) {
 	return obj.ME, nil
 }
 
-// jsonArrayME peeks the first element's "me" out of a JSON array body
-// (the v2 upload batch; one batch always belongs to a single ME). An
-// empty batch routes to shard 0 — it carries no data, any shard can
-// no-op it.
-func jsonArrayME(body []byte) (string, error) {
-	var arr []struct {
-		ME string `json:"me"`
-	}
-	if err := json.Unmarshal(body, &arr); err != nil {
-		return "", err
-	}
-	if len(arr) == 0 {
-		return "", nil
-	}
-	return arr[0].ME, nil
-}
-
-// routeJSON buffers the body, peeks the ME with the given peek
-// function, and forwards. A body the peek cannot parse is rejected here
-// with 400 — the shard would reject it identically, so nothing
-// observable changes versus a single server.
-func (g *Gateway) routeJSON(route int, peek func([]byte) (string, error)) http.HandlerFunc {
+// routeJSON buffers the body, peeks its {"me": ...}, and forwards. A
+// body the peek cannot parse is rejected here with 400 — the shard
+// would reject it identically, so nothing observable changes versus a
+// single server.
+func (g *Gateway) routeJSON(route int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, ok := bufferBody(w, r)
 		if !ok {
 			return
 		}
-		me, err := peek(body)
+		me, err := jsonObjectME(body)
 		if err != nil {
 			http.Error(w, "bad request", http.StatusBadRequest)
 			return

@@ -18,7 +18,7 @@ import (
 // unblocks them against the new ring.
 func TestGatewayPauseResume(t *testing.T) {
 	gw, _, hs := shardSet(t, 1)
-	driveME(t, hs.URL, "PAK-00", amigo.ProtoV2)
+	driveME(t, hs.URL, "PAK-00")
 
 	gw.Pause()
 	started := make(chan struct{})
@@ -62,7 +62,7 @@ func TestGatewayPauseResume(t *testing.T) {
 	// The data plane routes by the new ring: an ME lands on its new
 	// owning shard's server.
 	me := "GEO-42"
-	driveME(t, hs.URL, me, amigo.ProtoV2)
+	driveME(t, hs.URL, me)
 	owner := gw.Ring().Shard(me)
 	if got := len(servers[owner].Results()); got == 0 {
 		t.Fatalf("no results on shard %d, the new ring's owner of %s", owner, me)
@@ -74,7 +74,7 @@ func TestGatewayPauseResume(t *testing.T) {
 // must answer 400 rather than silently replaying the log from 0.
 func TestGatewayBadCursor400(t *testing.T) {
 	_, _, hs := shardSet(t, 2)
-	driveME(t, hs.URL, "PAK-00", amigo.ProtoV2)
+	driveME(t, hs.URL, "PAK-00")
 
 	srv := amigo.NewServer(nil)
 	admin := httptestServer(t, srv.AdminHandler())

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"roamsim/internal/amigo"
@@ -66,11 +67,12 @@ func shardSet(t *testing.T, n int) (*Gateway, []*amigo.Server, *httptest.Server)
 	return gw, servers, hs
 }
 
-// driveME runs one ME through the full protocol via the gateway and
-// returns its uploaded results.
-func driveME(t *testing.T, baseURL, me, proto string) []amigo.Result {
+// driveME runs one ME through the full protocol via the gateway —
+// JSON register and schedule, v3 frame leases and uploads — and returns
+// its uploaded results.
+func driveME(t *testing.T, baseURL, me string) []amigo.Result {
 	t.Helper()
-	ep := &amigo.Endpoint{Name: me, BaseURL: baseURL, Proto: proto}
+	ep := &amigo.Endpoint{Name: me, BaseURL: baseURL}
 	reg, _ := json.Marshal(map[string]string{"me": me, "country": me[:3]})
 	resp0, err := http.Post(baseURL+"/v1/register", "application/json", bytes.NewReader(reg))
 	if err != nil {
@@ -114,16 +116,15 @@ func driveME(t *testing.T, baseURL, me, proto string) []amigo.Result {
 	return out
 }
 
+// TestGatewayRoutesBothProtocols: the gateway peeks the ME out of both
+// body encodings it carries — JSON (register, schedule) and v3 frames
+// (lease, upload) — and every request for an ME lands on its ring shard.
 func TestGatewayRoutesBothProtocols(t *testing.T) {
 	gw, servers, hs := shardSet(t, 4)
 	mes := []string{"PAK-00", "PAK-01", "GEO-00", "GEO-01", "USA-00", "USA-01"}
 	want := 0
-	for i, me := range mes {
-		proto := amigo.ProtoV2
-		if i%2 == 1 {
-			proto = amigo.ProtoV3
-		}
-		want += len(driveME(t, hs.URL, me, proto))
+	for _, me := range mes {
+		want += len(driveME(t, hs.URL, me))
 	}
 	// Every ME's results must have landed wholly on its ring shard.
 	totalByShard := 0
@@ -162,7 +163,7 @@ func TestGatewayMergedResultsPagination(t *testing.T) {
 	mes := []string{"PAK-00", "GEO-00", "USA-00", "FRA-00", "JPN-00"}
 	uploaded := 0
 	for _, me := range mes {
-		uploaded += len(driveME(t, hs.URL, me, amigo.ProtoV2))
+		uploaded += len(driveME(t, hs.URL, me))
 	}
 
 	// cursor=-1 returns just the global cursor.
@@ -255,20 +256,56 @@ func TestGatewaySetBackendSwapsLive(t *testing.T) {
 	gw, _, hs := shardSet(t, 2)
 	me := "PAK-00"
 	shard := gw.Ring().Shard(me)
-	driveME(t, hs.URL, me, amigo.ProtoV2)
+	driveME(t, hs.URL, me)
 
 	// Swap the owning shard for a fresh empty server: the ME is now
 	// unknown there, and the lease route must answer 404.
 	fresh := amigo.NewServer(nil)
 	gw.SetBackend(shard, Mount(fresh.Handler(), fresh.AdminHandler()))
-	body, _ := json.Marshal(map[string]any{"me": me, "max": 1})
-	resp, err := http.Post(hs.URL+"/v2/tasks/lease", "application/json", bytes.NewReader(body))
+	body := wire.AppendLeaseRequest(nil, wire.LeaseRequest{ME: me, Max: 1})
+	resp, err := http.Post(hs.URL+"/v3/tasks/lease", wire.ContentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("lease after backend swap: HTTP %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestGatewayRetiredRoutesGone: the gateway no longer routes v1
+// one-task polling or the v2 JSON lease/upload batches; a stale client
+// gets 404 from the gateway itself and no shard sees the request.
+func TestGatewayRetiredRoutesGone(t *testing.T) {
+	_, servers, hs := shardSet(t, 2)
+	driveME(t, hs.URL, "PAK-00")
+	before := 0
+	for _, srv := range servers {
+		before += len(srv.Results())
+	}
+	for _, rt := range []struct{ method, path, body string }{
+		{http.MethodGet, "/v1/tasks?me=PAK-00", ""},
+		{http.MethodPost, "/v1/results", `{"task_id":1,"me":"PAK-00"}`},
+		{http.MethodPost, "/v2/tasks/lease", `{"me":"PAK-00","max":1}`},
+		{http.MethodPost, "/v2/results", `[{"task_id":1,"me":"PAK-00"}]`},
+	} {
+		req, _ := http.NewRequest(rt.method, hs.URL+rt.path, strings.NewReader(rt.body))
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s via gateway: HTTP %d, want 404", rt.method, rt.path, resp.StatusCode)
+		}
+	}
+	after := 0
+	for _, srv := range servers {
+		after += len(srv.Results())
+	}
+	if after != before {
+		t.Errorf("retired routes stored %d results", after-before)
 	}
 }
 

@@ -371,7 +371,7 @@ func TestServerIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks, err := srv.Lease("PAK-00", 10)
+	tasks, err := srv.Lease("PAK-00", 10, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,8 +133,8 @@ func (d *Decoder) str(b []byte) string {
 }
 
 // LeaseRequest decodes a MsgLeaseRequest payload. Strings are
-// interned; the caller owns clamping (ME required, Max bounds) exactly
-// as the v2 JSON path does.
+// interned; the caller owns validation (ME required, Max bounds — see
+// amigo's readLeaseRequest).
 func (d *Decoder) LeaseRequest(payload []byte) (LeaseRequest, error) {
 	r := reader{b: payload}
 	var req LeaseRequest

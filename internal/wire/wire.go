@@ -1,13 +1,13 @@
 // Package wire is the v3 binary wire protocol for the AmiGo control
 // plane: a length-prefixed, versioned frame codec for the lease
-// request/response and result-batch payloads that the v2 JSON protocol
-// ships as text. At fleet scale (10k+ MEs) `encoding/json` dominates
-// the control-plane CPU profile on both ends; wire replaces it with
-// `binary.BigEndian` field packing in the style of internal/gtp —
-// varint-packed integers and strings, explicit single-byte field tags —
-// while leaving the protocol *semantics* (ack-cursor leases,
-// idempotency keys, 429/Retry-After backpressure) untouched, so v2
-// remains the byte-identical compatibility oracle.
+// request/response and result-batch payloads, the only encoding leases
+// and uploads travel in. At fleet scale (10k+ MEs) `encoding/json`
+// dominated the control-plane CPU profile on both ends; wire replaces
+// it with `binary.BigEndian` field packing in the style of
+// internal/gtp — varint-packed integers and strings, explicit
+// single-byte field tags. The protocol *semantics* (ack-cursor leases,
+// idempotency keys, 429/Retry-After backpressure) live in
+// internal/amigo.
 //
 // # Frame layout
 //
@@ -57,8 +57,8 @@ import (
 )
 
 // Task is one instrumentation command for an ME. It is defined here —
-// rather than in internal/amigo, which aliases it — so the JSON (v1/v2)
-// and binary (v3) codecs share one canonical struct.
+// rather than in internal/amigo, which aliases it — so the binary codec
+// and amigo's JSON admin routes share one canonical struct.
 type Task struct {
 	ID   int    `json:"id"`
 	Kind string `json:"kind"` // "speedtest", "mtr", "cdn", "dns", "video"
@@ -242,8 +242,9 @@ func uploadedNano(t time.Time) uint64 {
 }
 
 // AppendLeaseRequest appends a complete MsgLeaseRequest frame to dst
-// and returns the extended slice. Negative Max/Ack must be clamped by
-// the caller (the amigo handlers clamp exactly as v2 does).
+// and returns the extended slice. Max and Ack must not be negative: a
+// negative value encodes as a uvarint past MaxInt64, which the decoder
+// rejects.
 func AppendLeaseRequest(dst []byte, req LeaseRequest) []byte {
 	dst, start := beginFrame(dst, MsgLeaseRequest)
 	dst = appendFieldString(dst, tagLeaseME, req.ME)

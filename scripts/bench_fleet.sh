@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
-# bench_fleet.sh — run BenchmarkFleetThroughput for every protocol at
-# 100 and 1000 MEs and snapshot the results/s figures into a JSON file
-# (default BENCH_fleet.json). CI uploads the file as an artifact so
-# control-plane throughput is comparable commit over commit.
+# bench_fleet.sh — run BenchmarkFleetThroughput at 100 and 1000 MEs
+# and snapshot the results/s figures into a JSON file (default
+# BENCH_fleet.json). CI uploads the file as an artifact so control-plane
+# throughput is comparable commit over commit.
 #
 # Usage: bench_fleet.sh [OUT.json]
 #
-# The snapshot also records the v3/v2 speedup at 1000 MEs (the
-# acceptance floor for the zero-allocation binary codec is 3x) and the
-# sharded-gateway ratio at 1000 MEs — the v3-shards4 row is the same v3
-# drain through the 4-shard consistent-hash gateway, so the ratio prices
-# the routing peek + proxy hop.
+# The snapshot also records the sharded-gateway ratio at 1000 MEs — the
+# v3-shards4 row is the same drain through the 4-shard consistent-hash
+# gateway, so the ratio prices the routing peek + proxy hop.
 #
 # It also runs the same realized 1000-ME campaign twice through
 # roam-fleet — once on the wall clock, once on the virtual clock — and
@@ -53,19 +51,17 @@ awk -v real_wall="$REAL_WALL" -v virt_wall="$VIRT_WALL" '
 BEGIN { print "{"; first = 1 }
 /^BenchmarkFleetThroughput\// {
     split($1, parts, "/")
-    proto = parts[2]
+    row = parts[2]
     sub(/-[0-9]+$/, "", parts[3])  # strip -GOMAXPROCS suffix
     mes = parts[3]; sub(/^mes=/, "", mes)
     for (i = 2; i < NF; i++) if ($(i + 1) == "results/s") rate = $i
-    key = proto "/mes=" mes
+    key = row "/mes=" mes
     if (!first) printf ",\n"
     first = 0
     printf "  \"%s\": %s", key, rate
     rates[key] = rate
 }
 END {
-    if (("v2/mes=1000" in rates) && ("v3/mes=1000" in rates) && rates["v2/mes=1000"] > 0)
-        printf ",\n  \"v3_over_v2_at_1000\": %.2f", rates["v3/mes=1000"] / rates["v2/mes=1000"]
     if (("v3/mes=1000" in rates) && ("v3-shards4/mes=1000" in rates) && rates["v3/mes=1000"] > 0)
         printf ",\n  \"shards4_over_1_at_1000\": %.2f", rates["v3-shards4/mes=1000"] / rates["v3/mes=1000"]
     if (virt_wall > 0)

@@ -7,7 +7,8 @@
 # the serial in-process run.
 #
 # Part 2: roam-gateway serves a WAL-backed plane as a separate process;
-# roam-fleet drives it via -server and crosschecks; the gateway is then
+# roam-fleet drives it via -server (v3 frame leases and uploads through
+# the external gateway) and crosschecks; the gateway is then
 # SIGTERMed and restarted over the same WAL dir, and must report the
 # drained results replayed from disk — the cold-recovery path.
 set -euo pipefail
@@ -26,7 +27,7 @@ go build -o "$TMP/roam-gateway" ./cmd/roam-gateway
 
 # --- Part 1: sharded self-host, one forced shard kill, crosscheck. ---
 OUT="$TMP/fleet.txt"
-"$TMP/roam-fleet" -mes 12 -reps 1 -proto v3 \
+"$TMP/roam-fleet" -mes 12 -reps 1 \
     -shards 4 -wal-dir "$TMP/wal-fleet" -kill-shard 0 -crosscheck > "$OUT"
 
 grep -q '^shards: 4 shards (WAL epoch 0), 1 killed and recovered' "$OUT" || {
@@ -53,7 +54,7 @@ until curl -sf "http://127.0.0.1:$PORT/admin/mes" >/dev/null 2>&1; do
     sleep 0.1
 done
 
-"$TMP/roam-fleet" -mes 12 -reps 1 -proto v2 \
+"$TMP/roam-fleet" -mes 12 -reps 1 \
     -server "http://127.0.0.1:$PORT" -crosscheck > "$TMP/drive.txt"
 grep -q '^crosscheck: fleet output matches' "$TMP/drive.txt" || {
     echo "shard-smoke: crosscheck failed against external gateway" >&2
