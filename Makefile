@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify vet lint lint-json lint-allows lint-guard build test race bench bench-fleet bench-paper paper-race bench-json chaos-smoke metrics-smoke shard-smoke reshard-smoke vclock-smoke fuzz-short FORCE
+.PHONY: verify vet lint lint-json lint-allows lint-guard build test race bench bench-fleet bench-paper paper-race bench-json chaos-smoke metrics-smoke shard-smoke reshard-smoke vclock-smoke fuzz-short stress FORCE
 
 ## verify: the CI entry point — vet, the roamvet determinism/hygiene
 ## analyzers, build, race-enabled tests, a one-iteration fleet
@@ -9,8 +9,9 @@ GO ?= go
 ## concurrency tests under the race detector, the chaos differential
 ## suite under the race detector, the observability endpoint smoke, the
 ## sharded control-plane / WAL durability smoke, the live-reshard +
-## WAL-compaction smoke, and the virtual-time engine smoke.
-verify: vet lint lint-guard build race bench-fleet bench-paper paper-race chaos-smoke metrics-smoke shard-smoke reshard-smoke vclock-smoke
+## WAL-compaction smoke, the virtual-time engine smoke, and the
+## shard-kill / crash stress sweep.
+verify: vet lint lint-guard build race bench-fleet bench-paper paper-race chaos-smoke metrics-smoke shard-smoke reshard-smoke vclock-smoke stress
 
 vet:
 	$(GO) vet ./...
@@ -127,6 +128,16 @@ reshard-smoke:
 vclock-smoke:
 	$(GO) test -race ./internal/vclock
 	$(GO) test -race -run 'TestVirtualTimeEquivalence' ./internal/fleet
+
+## stress: the shard-kill, crash-recovery, sharded and chaos differential
+## tests, ten runs each under GOMAXPROCS 1, 2 and 4, so an interleaving
+## bug is hunted on purpose rather than met by chance.
+stress:
+	for procs in 1 2 4; do \
+		GOMAXPROCS=$$procs $(GO) test -count=10 \
+			-run '^(TestShardKillDeterminism|TestCrashOnReplacedShardReschedules|TestShardedFleetEquivalence|TestFleetChaosEquivalence)$$' \
+			./internal/fleet || exit 1; \
+	done
 
 ## fuzz-short: a 10s budget per native fuzz target, on top of the
 ## checked-in seed corpora (which always run as part of plain `go test`).

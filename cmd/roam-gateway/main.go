@@ -12,6 +12,14 @@
 //	roam-gateway [-listen ADDR] [-shards N] [-wal-dir DIR]
 //	             [-compact-after N] [-metrics]
 //
+// The gateway routes every POST by its X-Amigo-ME header, the ME the
+// request is about, and never reads the body: amigo endpoints and
+// roam-fleet set the header, and a hand-built POST (curl to
+// /admin/schedule, say) must set it too, or it gets 400:
+//
+//	curl -X POST -H 'X-Amigo-ME: me-PAK' localhost:8431/admin/schedule \
+//	     -d '{"me":"me-PAK","kind":"dns","config":"esim"}'
+//
 // Admin reads (/admin/results, /admin/mes) are merged across shards by
 // the gateway; /admin/schedule routes to the owning shard. With
 // -metrics the gateway serves its per-shard routing counters and every

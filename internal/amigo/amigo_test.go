@@ -665,3 +665,93 @@ func TestConcurrentLeaseUploadManyMEs(t *testing.T) {
 		t.Fatalf("MEs = %d, want %d", got, mes)
 	}
 }
+
+// serverState renders everything a request could change: every ME's
+// registration, vitals and task queues, the ID allocator and the sink.
+func serverState(s *Server) string {
+	var b strings.Builder
+	for _, me := range s.MEs() {
+		sh := s.shardFor(me)
+		sh.mu.Lock()
+		fmt.Fprintf(&b, "%s %+v\n", me, *sh.mes[me])
+		sh.mu.Unlock()
+	}
+	fmt.Fprintf(&b, "next ID %d, results %+v\n", s.nextID.Load(), s.Results())
+	return b.String()
+}
+
+// TestMEHeaderMismatchRefused: every route that names an ME answers
+// 400, and changes nothing, when the wire.MEHeader names a different ME
+// than the body (for an upload, than any one record). Without the
+// header the same requests are served, as on any single server.
+func TestMEHeaderMismatchRefused(t *testing.T) {
+	fixed := time.Date(2024, 3, 1, 12, 0, 0, 0, time.UTC)
+	srv := NewServer(func() time.Time { return fixed })
+	mux := http.NewServeMux()
+	mux.Handle("/v1/", srv.Handler())
+	mux.Handle("/v2/", srv.Handler())
+	mux.Handle("/v3/", srv.Handler())
+	mux.Handle("/admin/", srv.AdminHandler())
+	hs := httptest.NewServer(mux)
+	defer hs.Close()
+
+	// me-A holds a schedule with one task delivered, so requeue, lease
+	// acks and uploads all have state to change.
+	srv.Register("me-A", "PAK")
+	srv.Register("me-B", "GEO")
+	ids, err := srv.ScheduleBatch("me-A", []Task{{Kind: "dns", Config: "sim"}, {Kind: "dns", Config: "esim"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Lease("me-A", 1, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	before := serverState(srv)
+
+	cases := []struct {
+		name, path, contentType, header string
+		body                            []byte
+	}{
+		{"register", "/v1/register", "application/json", "me-B",
+			[]byte(`{"me":"me-C","country":"KOR"}`)},
+		{"status", "/v1/status", "application/json", "me-B",
+			[]byte(`{"me":"me-A","vitals":{"battery":0.5,"rat":"5G"}}`)},
+		{"requeue", "/v2/tasks/requeue", "application/json", "me-B",
+			[]byte(`{"me":"me-A"}`)},
+		{"schedule", "/admin/schedule", "application/json", "me-B",
+			[]byte(`{"me":"me-A","kind":"dns","config":"sim"}`)},
+		{"lease", "/v3/tasks/lease", wire.ContentType, "me-B",
+			wire.AppendLeaseRequest(nil, wire.LeaseRequest{ME: "me-A", Max: 4, Ack: ids[0]})},
+		{"results with one foreign record", "/v3/results", wire.ContentType, "me-A",
+			wire.AppendResults(nil, []Result{
+				{TaskID: ids[0], ME: "me-A", Kind: "dns", Config: "sim", OK: true},
+				{TaskID: ids[1], ME: "me-B", Kind: "dns", Config: "esim", OK: true},
+			})},
+	}
+	post := func(path, contentType, header string, body []byte) int {
+		req, _ := http.NewRequest(http.MethodPost, hs.URL+path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", contentType)
+		if header != "" {
+			req.Header.Set(wire.MEHeader, header)
+		}
+		resp, err := hs.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainClose(resp)
+		return resp.StatusCode
+	}
+	for _, tc := range cases {
+		if code := post(tc.path, tc.contentType, tc.header, tc.body); code != http.StatusBadRequest {
+			t.Errorf("%s with %s %q: HTTP %d, want 400", tc.name, wire.MEHeader, tc.header, code)
+		}
+		if after := serverState(srv); after != before {
+			t.Fatalf("%s with a mismatched header changed server state:\nbefore:\n%s\nafter:\n%s", tc.name, before, after)
+		}
+	}
+	for _, tc := range cases {
+		if code := post(tc.path, tc.contentType, "", tc.body); code >= 300 {
+			t.Errorf("%s without %s: HTTP %d, want 2xx", tc.name, wire.MEHeader, code)
+		}
+	}
+}

@@ -332,14 +332,15 @@ func (e *Endpoint) postResp(path string, body any, header map[string]string) (*h
 }
 
 // postRaw sends pre-encoded bytes — the shared tail of the JSON and
-// frame post paths (request metrics, connection tracing, 429
-// counting).
+// frame post paths (the ME header, request metrics, connection tracing,
+// 429 counting).
 func (e *Endpoint) postRaw(path, contentType string, body []byte, header map[string]string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(e.reqContext(), http.MethodPost, e.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", contentType)
+	req.Header.Set(wire.MEHeader, e.Name)
 	for k, v := range header {
 		req.Header.Set(k, v)
 	}

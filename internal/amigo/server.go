@@ -25,10 +25,17 @@
 //	POST /v3/tasks/lease   MsgLeaseRequest frame -> MsgTasks frame (204 if none)
 //	POST /v3/results       MsgResults frame      -> 204, or 429 + Retry-After
 //
-// Frames must carry Content-Type application/vnd.amigo.v3 (else 415).
-// The path prefixes are historical: v1 one-task polling and v2 JSON
-// batches once had lease/upload routes of their own, and the surviving
-// JSON routes kept their paths.
+// Frames must carry Content-Type application/vnd.amigo.v3 (else 415),
+// and a body is exactly one frame. The path prefixes are historical: v1
+// one-task polling and v2 JSON batches once had lease/upload routes of
+// their own, and the surviving JSON routes kept their paths.
+//
+// Every POST, POST /admin/schedule included, also names its ME in the
+// X-Amigo-ME header (wire.MEHeader), so the shard gateway can route it
+// without reading the body. A server answers 400, and changes nothing,
+// when the header names an ME other than the body's, or, for an
+// upload, other than any record's. A request without the header is
+// still served on a single server.
 //
 // Delivery is at-least-once and loss-tolerant: a lease's Ack
 // acknowledges every previously delivered task ID <= Ack, and unacked
@@ -193,15 +200,6 @@ func WithSpoolCapacity(n int) Option {
 	return func(s *Server) {
 		if n > 0 {
 			s.spoolCap = n
-		}
-	}
-}
-
-// WithShardCount sets the ME registry shard count (default 16).
-func WithShardCount(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.shards = make([]registryShard, n)
 		}
 	}
 }
@@ -592,6 +590,19 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
+// meConflict answers 400, and reports true, when the request's
+// wire.MEHeader names an ME other than me: a router placed the request
+// by the header, so a body about another ME may be on the wrong server.
+// A request without the header is served as before; a client of a
+// single server need not set it.
+func meConflict(w http.ResponseWriter, r *http.Request, me string) bool {
+	if h := r.Header.Get(wire.MEHeader); h != "" && h != me {
+		http.Error(w, "body names a different ME than "+wire.MEHeader, http.StatusBadRequest)
+		return true
+	}
+	return false
+}
+
 // atoiParam parses an optional integer query parameter: empty means 0,
 // anything else must be a well-formed integer.
 func atoiParam(raw string) (int, error) {
@@ -698,6 +709,9 @@ func (s *Server) Handler() http.Handler {
 			http.Error(w, "bad register", http.StatusBadRequest)
 			return
 		}
+		if meConflict(w, r, req.ME) {
+			return
+		}
 		s.Register(req.ME, req.Country)
 		w.WriteHeader(http.StatusNoContent)
 	})
@@ -708,6 +722,9 @@ func (s *Server) Handler() http.Handler {
 		}
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, "bad status", http.StatusBadRequest)
+			return
+		}
+		if meConflict(w, r, req.ME) {
 			return
 		}
 		sh := s.shardFor(req.ME)
@@ -730,6 +747,9 @@ func (s *Server) Handler() http.Handler {
 		}
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.ME == "" {
 			http.Error(w, "bad requeue", http.StatusBadRequest)
+			return
+		}
+		if meConflict(w, r, req.ME) {
 			return
 		}
 		if _, err := s.Requeue(req.ME); err != nil {
@@ -770,6 +790,9 @@ func (s *Server) AdminHandler() http.Handler {
 		}
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, "bad request", http.StatusBadRequest)
+			return
+		}
+		if meConflict(w, r, req.ME) {
 			return
 		}
 		tasks := req.Tasks

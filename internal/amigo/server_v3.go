@@ -41,6 +41,23 @@ func acceptsV3(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
+// readBodyFrame reads a request body's one frame into the pooled *buf
+// and refuses a body that runs on past it: a request is exactly one
+// frame, so an over-long body fails here whether or not a router sits
+// in front of the server.
+func readBodyFrame(body io.Reader, buf *[]byte) (wire.Header, []byte, error) {
+	h, payload, err := wire.ReadFrame(body, (*buf)[:0])
+	*buf = payload // keep any growth pooled
+	if err != nil {
+		return h, nil, err
+	}
+	var next [1]byte
+	if n, err := io.ReadFull(body, next[:]); n > 0 || err != io.EOF {
+		return h, nil, errors.New("amigo: request body runs past its frame")
+	}
+	return h, payload, nil
+}
+
 // readLeaseRequest is the whole decode step of POST /v3/tasks/lease: it
 // reads one MsgLeaseRequest frame from body into the pooled *buf and
 // normalizes it. The ME name is required and Max is clamped to
@@ -48,8 +65,7 @@ func acceptsV3(w http.ResponseWriter, r *http.Request) bool {
 // unsigned and the decoder rejects any that overflow int. It is fuzzed
 // by FuzzLeaseDecode.
 func readLeaseRequest(body io.Reader, buf *[]byte) (wire.LeaseRequest, error) {
-	h, payload, err := wire.ReadFrame(body, (*buf)[:0])
-	*buf = payload // keep any growth pooled
+	h, payload, err := readBodyFrame(body, buf)
 	if err != nil {
 		return wire.LeaseRequest{}, err
 	}
@@ -82,6 +98,9 @@ func (s *Server) handleV3Lease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad lease", http.StatusBadRequest)
 		return
 	}
+	if meConflict(w, r, req.ME) {
+		return
+	}
 	tp := taskSlicePool.Get().(*[]Task)
 	tasks, err := s.Lease(req.ME, req.Max, req.Ack, (*tp)[:0])
 	*tp = tasks
@@ -100,15 +119,16 @@ func (s *Server) handleV3Lease(w http.ResponseWriter, r *http.Request) {
 
 // handleV3Results is POST /v3/results: a MsgResults frame in, 204 out
 // (429 + Retry-After when the spool is full). A batch whose
-// Idempotency-Key was already accepted is dropped (SubmitKeyed).
+// Idempotency-Key was already accepted is dropped (SubmitKeyed), and a
+// batch with any record about an ME other than the request's
+// wire.MEHeader is refused whole.
 func (s *Server) handleV3Results(w http.ResponseWriter, r *http.Request) {
 	if !acceptsV3(w, r) {
 		return
 	}
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
-	h, payload, err := wire.ReadFrame(r.Body, (*buf)[:0])
-	*buf = payload // keep any growth pooled
+	h, payload, err := readBodyFrame(r.Body, buf)
 	if err != nil || h.Type != wire.MsgResults {
 		http.Error(w, "bad v3 frame", http.StatusBadRequest)
 		return
@@ -122,6 +142,11 @@ func (s *Server) handleV3Results(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		http.Error(w, "bad results", http.StatusBadRequest)
 		return
+	}
+	for i := range batch {
+		if meConflict(w, r, batch[i].ME) {
+			return
+		}
 	}
 	// The decoded payloads alias the pooled frame buffer; move them onto
 	// owned storage before they outlive this request (Submit copies the

@@ -233,6 +233,13 @@ func TestV3RejectsBadRequests(t *testing.T) {
 	if resp := post("/v3/tasks/lease", wire.ContentType, leaseFrame[:len(leaseFrame)-2]); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("truncated frame: %d, want 400", resp.StatusCode)
 	}
+	// A body is exactly one frame: trailing bytes are refused.
+	if resp := post("/v3/tasks/lease", wire.ContentType, append(leaseFrame[:len(leaseFrame):len(leaseFrame)], 0)); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("lease frame with a trailing byte: %d, want 400", resp.StatusCode)
+	}
+	if resp := post("/v3/results", wire.ContentType, append(resultFrame[:len(resultFrame):len(resultFrame)], 0)); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("results frame with a trailing byte: %d, want 400", resp.StatusCode)
+	}
 	// A results frame on the lease route is a type mismatch.
 	if resp := post("/v3/tasks/lease", wire.ContentType, resultFrame); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("wrong message type: %d, want 400", resp.StatusCode)

@@ -2,6 +2,7 @@ package esimdb
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -337,44 +338,56 @@ func TestCrawlerServerFailure(t *testing.T) {
 	const procs = 4
 	setProcs(t, procs)
 	page6Failed := make(chan struct{})
+	page3Seen := &pageSeen{page: "3", seen: make(chan struct{})}
 	for _, tc := range []struct {
 		name    string
 		handler http.Handler
 		want    string
 		// maxRequests bounds the pages requested, when non-zero.
 		maxRequests int64
+		// client, when set, is the crawler's HTTP client.
+		client *http.Client
 	}{
 		{"500", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "internal", http.StatusInternalServerError)
-		}), "page 0: HTTP 500", 1},
-		{"404", http.NotFoundHandler(), "page 0: HTTP 404", 1},
+		}), "page 0: HTTP 500", 1, nil},
+		{"404", http.NotFoundHandler(), "page 0: HTTP 404", 1, nil},
 		{"page count too large", fakeCatalog(1, func(_ int, resp *offersResponse) int {
 			resp.Pages, resp.Total = 1<<40, 1<<47
 			return 0
-		}), "page 0 claims 1099511627776 pages", 1},
+		}), "page 0 claims 1099511627776 pages", 1, nil},
 		{"negative page count", fakeCatalog(1, func(_ int, resp *offersResponse) int {
 			resp.Pages = -1
 			return 0
-		}), "page 0 claims -1 pages", 1},
+		}), "page 0 claims -1 pages", 1, nil},
 		{"page count changes mid-crawl", fakeCatalog(50, func(page int, resp *offersResponse) int {
 			if page == 7 {
 				resp.Pages = 51
 			}
 			return 0
-		}), "page 7: catalog changed mid-crawl: 51 pages of 50 offers", 0},
+		}), "page 7: catalog changed mid-crawl: 51 pages of 50 offers", 0, nil},
 		{"total changes mid-crawl", fakeCatalog(50, func(page int, resp *offersResponse) int {
 			if page == 3 {
 				resp.Total = 49
 			}
 			return 0
-		}), "page 3: catalog changed mid-crawl: 50 pages of 49 offers", 0},
-		// Pages already claimed finish; no worker claims another.
+		}), "page 3: catalog changed mid-crawl: 50 pages of 49 offers", 0, nil},
+		// Pages already claimed finish; no worker claims another. Pages
+		// after 3 are held until the crawler has read page 3's 503, so
+		// the failure lands before any of them completes, however the
+		// workers are scheduled.
 		{"failure stops the crawl", fakeCatalog(1000, func(page int, _ *offersResponse) int {
-			if page == 3 {
+			switch {
+			case page == 3:
 				return http.StatusServiceUnavailable
+			case page > 3:
+				select {
+				case <-page3Seen.seen:
+				case <-time.After(30 * time.Second):
+				}
 			}
 			return 0
-		}), "page 3: HTTP 503", 4 + 2*procs},
+		}), "page 3: HTTP 503", 4 + 2*procs, &http.Client{Transport: page3Seen}},
 		// Page 5 is held until page 6 has failed: the error still
 		// names page 5.
 		{"lowest failing page", fakeCatalog(1000, func(page int, _ *offersResponse) int {
@@ -392,7 +405,7 @@ func TestCrawlerServerFailure(t *testing.T) {
 				return http.StatusInternalServerError
 			}
 			return 0
-		}), "page 5: HTTP 500", 0},
+		}), "page 5: HTTP 500", 0, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var requests atomic.Int64
@@ -401,7 +414,7 @@ func TestCrawlerServerFailure(t *testing.T) {
 				tc.handler.ServeHTTP(w, r)
 			}))
 			defer srv.Close()
-			c := &Crawler{BaseURL: srv.URL}
+			c := &Crawler{BaseURL: srv.URL, Client: tc.client}
 			plans, err := c.Crawl(SnapshotDate)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error = %v, want one containing %q", err, tc.want)
@@ -414,6 +427,34 @@ func TestCrawlerServerFailure(t *testing.T) {
 			}
 		})
 	}
+}
+
+// pageSeen is a transport that closes seen once the crawler has closed
+// the response body of the given page, i.e. once it has read that
+// page's outcome.
+type pageSeen struct {
+	page string
+	seen chan struct{}
+	once sync.Once
+}
+
+func (p *pageSeen) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && req.URL.Query().Get("page") == p.page {
+		resp.Body = &seenBody{ReadCloser: resp.Body, p: p}
+	}
+	return resp, err
+}
+
+type seenBody struct {
+	io.ReadCloser
+	p *pageSeen
+}
+
+func (b *seenBody) Close() error {
+	err := b.ReadCloser.Close()
+	b.p.once.Do(func() { close(b.p.seen) })
+	return err
 }
 
 // TestCrawlPagesOutOfOrder forces pages to complete out of order: the

@@ -30,6 +30,7 @@ import (
 
 	"roamsim/internal/airalo"
 	"roamsim/internal/core"
+	"roamsim/internal/fleet"
 	"roamsim/internal/ipx"
 	"roamsim/internal/measure"
 	"roamsim/internal/mno"
@@ -177,9 +178,6 @@ type VideoObs struct {
 	Shares   map[string]float64
 }
 
-// deviceCountries are the device-campaign deployments in display order.
-var deviceCountries = []string{"GEO", "DEU", "KOR", "PAK", "QAT", "SAU", "ESP", "THA", "ARE", "GBR"}
-
 // kindsFor returns the configurations measured in a country.
 func kindsFor(d *airalo.Deployment) []mno.SIMKind {
 	if d.SIMProfile != nil {
@@ -204,7 +202,7 @@ func (r *Runner) Traces() ([]TraceObs, error) {
 		return r.traces, nil
 	}
 	var units []unit[TraceObs]
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		d := r.W.Deployments[iso]
 		for _, kind := range kindsFor(d) {
 			for _, target := range []string{"Google", "Facebook"} {
@@ -253,7 +251,7 @@ func (r *Runner) Speedtests() ([]SpeedObs, error) {
 		return r.speeds, nil
 	}
 	var units []unit[SpeedObs]
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		d := r.W.Deployments[iso]
 		for _, kind := range kindsFor(d) {
 			for i := 0; i < r.Cfg.SpeedtestsPerCountry; i++ {
@@ -296,7 +294,7 @@ func (r *Runner) CDNFetches() ([]CDNObs, error) {
 	}
 	providers := []string{"Cloudflare", "Google CDN", "jQuery CDN", "jsDelivr", "Microsoft Ajax"}
 	var units []unit[CDNObs]
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		d := r.W.Deployments[iso]
 		for _, kind := range kindsFor(d) {
 			for _, prov := range providers {
@@ -338,7 +336,7 @@ func (r *Runner) DNSLookups() ([]DNSObs, error) {
 		return r.dnses, nil
 	}
 	var units []unit[DNSObs]
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		d := r.W.Deployments[iso]
 		for _, kind := range kindsFor(d) {
 			for i := 0; i < r.Cfg.DNSPerCountry; i++ {
@@ -382,7 +380,7 @@ func (r *Runner) Videos() ([]VideoObs, error) {
 		return r.videos, nil
 	}
 	var units []unit[VideoObs]
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		if iso == "ESP" || iso == "GBR" {
 			continue
 		}

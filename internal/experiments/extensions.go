@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"roamsim/internal/airalo"
+	"roamsim/internal/fleet"
 	"roamsim/internal/geo"
 	"roamsim/internal/ipx"
 	"roamsim/internal/measure"
@@ -27,7 +28,7 @@ func (r *Runner) FutureVoIP() (*report.Table, error) {
 		Headers: []string{"Country", "Config", "One-way (ms)", "Jitter (ms)", "Loss %", "R", "MOS", "Verdict"},
 	}
 	e := voip.EModel{}
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		d := r.W.Deployments[iso]
 		for _, kind := range kindsFor(d) {
 			s, err := attach(d, kind, src)
@@ -65,7 +66,7 @@ func (r *Runner) AblationLBO() (*report.Table, error) {
 		Title:   "Ablation: today's eSIM vs hypothetical Local Breakout (LBO)",
 		Headers: []string{"Country", "Arch today", "RTT today (ms)", "RTT w/ LBO (ms)", "Saved", "Down today", "Down w/ LBO"},
 	}
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		d := r.W.Deployments[iso]
 		var today, lbo, downToday, downLBO []float64
 		var arch ipx.Architecture

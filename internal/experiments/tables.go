@@ -6,8 +6,8 @@ import (
 	"sort"
 	"strings"
 
-	"roamsim/internal/amigo"
 	"roamsim/internal/core"
+	"roamsim/internal/fleet"
 	"roamsim/internal/ipx"
 	"roamsim/internal/report"
 	"roamsim/internal/rng"
@@ -157,130 +157,17 @@ func (r *Runner) Table3() (*report.Table, error) {
 
 // Table4 reruns the device-based campaign through the AmiGo control
 // server: per country, the number of successful tests per tool and
-// configuration, formatted <SIM> // <eSIM> like the paper.
+// configuration, formatted <SIM> // <eSIM> like the paper. It is the
+// fleet package's serial campaign (RunInProcess) on the device plan,
+// ingested and tallied by fleet.Table4.
 func (r *Runner) Table4() (*report.Table, error) {
-	srv := amigo.NewServer(nil)
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	src := rng.New(r.Cfg.Seed).Fork("table4")
-
-	kinds := []amigo.Task{
-		{Kind: "speedtest"},
-		{Kind: "mtr", Target: "Facebook"},
-		{Kind: "mtr", Target: "Google"}, // YouTube also resolves to Google edges
-		{Kind: "cdn", Target: "Cloudflare"},
-		{Kind: "cdn", Target: "Google CDN"},
-		{Kind: "cdn", Target: "jQuery CDN"},
-		{Kind: "cdn", Target: "jsDelivr"},
-		{Kind: "cdn", Target: "Microsoft Ajax"},
-		{Kind: "video"},
+	camp, err := fleet.RunInProcess(r.W, fleet.DeviceCampaignPlan(), r.Cfg.Seed, "table4", true)
+	if err != nil {
+		return nil, err
 	}
-	labels := []string{
-		"Ookla", "MTR(FB)", "MTR(GGL)",
-		"CDN(CF)", "CDN(GGL)", "CDN(jQ)", "CDN(jsD)", "CDN(MS)", "Video",
+	ds, err := fleet.Ingest(r.W.Reg, camp)
+	if err != nil {
+		return nil, err
 	}
-	const perTool = 4
-
-	for _, iso := range deviceCountries {
-		ep := amigo.NewEndpoint("me-"+iso, hs.URL, r.W.Deployments[iso], src.Fork(iso))
-		if err := ep.Register(); err != nil {
-			return nil, err
-		}
-		if err := ep.Heartbeat(); err != nil {
-			return nil, err
-		}
-		var tasks []amigo.Task
-		for _, base := range kinds {
-			for _, config := range []string{"sim", "esim"} {
-				for i := 0; i < perTool; i++ {
-					task := base
-					task.Config = config
-					tasks = append(tasks, task)
-				}
-			}
-		}
-		if _, err := srv.ScheduleBatch("me-"+iso, tasks); err != nil {
-			return nil, err
-		}
-		// One lease carries the ME's whole schedule.
-		for {
-			n, err := ep.RunBatch(len(tasks))
-			if err != nil {
-				return nil, err
-			}
-			if n == 0 {
-				break
-			}
-		}
-	}
-
-	// Tally successes per (country, tool, config).
-	type cell struct{ sim, esim int }
-	counts := map[string]map[string]*cell{}
-	for _, res := range srv.Results() {
-		if !res.OK {
-			continue
-		}
-		iso := strings.TrimPrefix(res.ME, "me-")
-		label := labelFor(res, labels)
-		if counts[iso] == nil {
-			counts[iso] = map[string]*cell{}
-		}
-		if counts[iso][label] == nil {
-			counts[iso][label] = &cell{}
-		}
-		if res.Config == "sim" {
-			counts[iso][label].sim++
-		} else {
-			counts[iso][label].esim++
-		}
-	}
-
-	t := &report.Table{
-		Title:   "Table 4: device-based campaign (successful tests, <SIM> // <eSIM>)",
-		Headers: append([]string{"Country"}, labels...),
-	}
-	for _, iso := range deviceCountries {
-		row := []any{iso}
-		for _, label := range labels {
-			c := counts[iso][label]
-			if c == nil {
-				c = &cell{}
-			}
-			row = append(row, fmt.Sprintf("%d // %d", c.sim, c.esim))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
-}
-
-// labelFor maps a result back to its column label. MTR and CDN columns
-// are disambiguated by target recorded in the payload; speedtest and
-// video are unique.
-func labelFor(res amigo.Result, labels []string) string {
-	switch res.Kind {
-	case "speedtest":
-		return "Ookla"
-	case "video":
-		return "Video"
-	case "mtr":
-		if strings.Contains(string(res.Payload), `"target":"Facebook"`) {
-			return "MTR(FB)"
-		}
-		return "MTR(GGL)"
-	case "cdn":
-		switch {
-		case strings.Contains(string(res.Payload), "Cloudflare"):
-			return "CDN(CF)"
-		case strings.Contains(string(res.Payload), "Google CDN"):
-			return "CDN(GGL)"
-		case strings.Contains(string(res.Payload), "jQuery CDN"):
-			return "CDN(jQ)"
-		case strings.Contains(string(res.Payload), "jsDelivr"):
-			return "CDN(jsD)"
-		default:
-			return "CDN(MS)"
-		}
-	}
-	return res.Kind
+	return fleet.Table4(ds, camp.Plan), nil
 }

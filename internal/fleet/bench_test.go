@@ -30,7 +30,7 @@ func BenchmarkFleetThroughput(b *testing.B) {
 		})
 	}
 	// The sharded row: the same drain through a 4-shard gateway
-	// (in-memory sinks), isolating the routing-peek overhead and the
+	// (in-memory sinks), isolating the proxy hop and the
 	// registry/queue contention relief that sharding buys.
 	b.Run("v3-shards4/mes=1000", func(b *testing.B) {
 		benchThroughput(b, 1000, 4)
@@ -73,7 +73,7 @@ func newBenchFleet(b *testing.B, mes, shards int) *benchFleet {
 
 	// serverFor maps an ME to the amigo server owning it, so register
 	// and schedule skip HTTP; the timed drain goes over the wire (and,
-	// when sharded, through the gateway's routing peek).
+	// when sharded, through the gateway).
 	var serverFor func(me string) *amigo.Server
 	var hs *httptest.Server
 	if shards > 1 {
@@ -123,6 +123,17 @@ func newBenchFleet(b *testing.B, mes, shards int) *benchFleet {
 		serverFor(names[i]).Register(names[i], "PAK")
 	}
 
+	// post sends a v3 frame naming me in the wire.MEHeader, which the
+	// sharded gateway routes by.
+	post := func(path, me string, frame []byte) (*http.Response, error) {
+		req, err := http.NewRequest(http.MethodPost, hs.URL+path, bytes.NewReader(frame))
+		if err != nil {
+			return nil, err
+		}
+		req.Header.Set("Content-Type", wire.ContentType)
+		req.Header.Set(wire.MEHeader, me)
+		return client.Do(req)
+	}
 	finish := func(resp *http.Response) int {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -147,7 +158,7 @@ func newBenchFleet(b *testing.B, mes, shards int) *benchFleet {
 		for {
 			*ebuf = wire.AppendLeaseRequest((*ebuf)[:0],
 				wire.LeaseRequest{ME: me, Max: leaseBatch, Ack: ack})
-			resp, err := client.Post(hs.URL+"/v3/tasks/lease", wire.ContentType, bytes.NewReader(*ebuf))
+			resp, err := post("/v3/tasks/lease", me, *ebuf)
 			if err != nil {
 				return err
 			}
@@ -178,7 +189,7 @@ func newBenchFleet(b *testing.B, mes, shards int) *benchFleet {
 				results = append(results, amigo.Result{TaskID: task.ID, ME: me, Kind: task.Kind, Config: task.Config, OK: true, Payload: canned[task.Kind]})
 			}
 			*ebuf = wire.AppendResults((*ebuf)[:0], results)
-			up, err := client.Post(hs.URL+"/v3/results", wire.ContentType, bytes.NewReader(*ebuf))
+			up, err := post("/v3/results", me, *ebuf)
 			if err != nil {
 				return err
 			}

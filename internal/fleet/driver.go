@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,6 +21,7 @@ import (
 	"roamsim/internal/obs"
 	"roamsim/internal/rng"
 	"roamsim/internal/vclock"
+	"roamsim/internal/wire"
 )
 
 // Driver runs a fleet campaign against a live AmiGo control server.
@@ -203,7 +205,8 @@ func (d *Driver) restartBudget() int {
 
 // Run executes the plan: every ME registers, receives its schedule,
 // then leases, executes and uploads in batches until drained; finally
-// the uploaded results are fetched back from the server.
+// the uploaded results are fetched back from the server, and Run fails
+// unless every scheduled task came back (see checkComplete).
 //
 // Determinism: per-ME rng streams are pre-forked serially in schedule
 // order before the pool starts, and each ME's tasks execute in queue
@@ -237,6 +240,12 @@ func (d *Driver) Run(w *airalo.World, plan Plan) (*Campaign, error) {
 	for i, sc := range scheds {
 		seeds[i] = parent.ForkSeed(sc.Label)
 	}
+	// pinned[i] is ME i's schedule; runME pins the server's task IDs
+	// into it, and the completeness check reads them back.
+	pinned := make([][]amigo.Task, len(scheds))
+	for i, sc := range scheds {
+		pinned[i] = append([]amigo.Task(nil), sc.Tasks...)
+	}
 
 	startCursor, err := d.fetchCursor(client)
 	if err != nil {
@@ -260,13 +269,13 @@ func (d *Driver) Run(w *airalo.World, plan Plan) (*Campaign, error) {
 			go func() {
 				defer wg.Done()
 				defer v.Done()
-				errs[i] = d.runME(client, scheds[i], w.Deployments[scheds[i].ISO], seeds[i])
+				errs[i] = d.runME(client, scheds[i], w.Deployments[scheds[i].ISO], seeds[i], pinned[i])
 			}()
 		}
 		wg.Wait()
 	} else {
 		runPool(d.workers(), len(scheds), func(i int) {
-			errs[i] = d.runME(client, scheds[i], w.Deployments[scheds[i].ISO], seeds[i])
+			errs[i] = d.runME(client, scheds[i], w.Deployments[scheds[i].ISO], seeds[i], pinned[i])
 		})
 	}
 	// Report every failed ME, not just the first: a campaign debugging
@@ -287,6 +296,9 @@ func (d *Driver) Run(w *airalo.World, plan Plan) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkComplete(scheds, pinned, results); err != nil {
+		return nil, err
+	}
 	camp := &Campaign{
 		Plan:      plan,
 		Schedules: scheds,
@@ -299,6 +311,39 @@ func (d *Driver) Run(w *airalo.World, plan Plan) (*Campaign, error) {
 		},
 	}
 	return camp, nil
+}
+
+// checkComplete fails a campaign that lost work: every scheduled (ME,
+// task ID), under the IDs the server pinned, must come back at least
+// once. Duplicates from replays are legal (Ingest drops them); a gap
+// means the control plane acknowledged a result that never reached a
+// sink, and the error names each incomplete ME and its missing count.
+func checkComplete(scheds []MESchedule, pinned [][]amigo.Task, results []amigo.Result) error {
+	type key struct {
+		me string
+		id int
+	}
+	got := make(map[key]bool, len(results))
+	for _, r := range results {
+		got[key{r.ME, r.TaskID}] = true
+	}
+	var gaps []string
+	for i, sc := range scheds {
+		missing := 0
+		for _, t := range pinned[i] {
+			if !got[key{sc.Name, t.ID}] {
+				missing++
+			}
+		}
+		if missing > 0 {
+			gaps = append(gaps, fmt.Sprintf("%s missing %d of %d", sc.Name, missing, len(pinned[i])))
+		}
+	}
+	if len(gaps) > 0 {
+		return fmt.Errorf("fleet: incomplete campaign: %d/%d MEs lost results: %s",
+			len(gaps), len(scheds), strings.Join(gaps, ", "))
+	}
+	return nil
 }
 
 // runME is the per-ME lifecycle with crash tolerance: run incarnations
@@ -314,11 +359,11 @@ func (d *Driver) Run(w *airalo.World, plan Plan) (*Campaign, error) {
 // server over its surviving WAL. The next incarnation re-registers and
 // re-POSTs the schedule with the task IDs pinned from the first
 // schedule, so re-executed uploads carry the same (ME, TaskID)
-// identities and dedup to nothing at ingest.
-func (d *Driver) runME(client *http.Client, sc MESchedule, dep *airalo.Deployment, seed int64) error {
+// identities and dedup to nothing at ingest. tasks is the ME's own copy
+// of its schedule, which the first schedule pins IDs into.
+func (d *Driver) runME(client *http.Client, sc MESchedule, dep *airalo.Deployment, seed int64, tasks []amigo.Task) error {
 	scheduled := false
 	recoveries := 0
-	tasks := append([]amigo.Task(nil), sc.Tasks...)
 	for inc := 0; ; inc++ {
 		crashed, err := d.runIncarnation(client, sc, dep, seed, inc, &scheduled, tasks)
 		if err != nil {
@@ -432,14 +477,21 @@ func drainBody(body io.ReadCloser) {
 	body.Close()
 }
 
-// scheduleBatch POSTs the ME's schedule and returns the task IDs the
+// scheduleBatch POSTs the ME's schedule, naming the ME in the
+// wire.MEHeader a shard gateway routes by, and returns the task IDs the
 // server assigned (or honored, when the tasks carried pinned IDs).
 func (d *Driver) scheduleBatch(client *http.Client, me string, tasks []amigo.Task) ([]int, error) {
 	buf, err := json.Marshal(map[string]any{"me": me, "tasks": tasks})
 	if err != nil {
 		return nil, err
 	}
-	resp, err := client.Post(d.BaseURL+"/admin/schedule", "application/json", bytes.NewReader(buf))
+	req, err := http.NewRequest(http.MethodPost, d.BaseURL+"/admin/schedule", bytes.NewReader(buf))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(wire.MEHeader, me)
+	resp, err := client.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -7,11 +7,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"roamsim/internal/airalo"
 	"roamsim/internal/amigo"
-	"roamsim/internal/experiments"
 )
 
 const testSeed = 21
@@ -210,19 +210,24 @@ func TestFleetMatchesInProcessCampaign(t *testing.T) {
 
 // TestFleetTable4MatchesExperiments is the acceptance check: the
 // device-campaign plan driven through the fleet control plane
-// regenerates exactly the Table 4 the in-process experiments runner
-// produces for the same seed.
+// regenerates exactly the Table 4 of the serial in-process campaign —
+// RunInProcess under label "table4" with heartbeats, which is how the
+// experiments runner builds its Table 4 — for the same seed.
 func TestFleetTable4MatchesExperiments(t *testing.T) {
 	w := testWorld(t)
-	r := experiments.NewRunnerWith(w, experiments.Config{Seed: testSeed})
-	wantTable, err := r.Table4()
+	plan := DeviceCampaignPlan()
+	ref, err := RunInProcess(w, plan, testSeed, "table4", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refDS, err := Ingest(w.Reg, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, hs := newControlServer(t)
 	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: 8,
 		StreamLabel: "table4", Heartbeat: true}
-	camp, err := d.Run(w, DeviceCampaignPlan())
+	camp, err := d.Run(w, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +236,8 @@ func TestFleetTable4MatchesExperiments(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := Table4(ds, camp.Plan).String()
-	if want := wantTable.String(); got != want {
-		t.Fatalf("fleet Table 4 differs from experiments Table 4:\nfleet:\n%s\nexperiments:\n%s", got, want)
+	if want := Table4(refDS, ref.Plan).String(); got != want {
+		t.Fatalf("fleet Table 4 differs from the in-process Table 4:\nfleet:\n%s\nin-process:\n%s", got, want)
 	}
 }
 
@@ -279,6 +284,51 @@ func TestScheduleIDCountMismatch(t *testing.T) {
 	for _, want := range []string{"me-PAK", "3 task IDs", "4 tasks"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
+// lossySink stores like a MemorySink, except that it silently loses the
+// first batch whose records belong to one ME, after the server has
+// already answered 204 for that upload.
+type lossySink struct {
+	*amigo.MemorySink
+	me   string
+	lost atomic.Bool
+}
+
+func (s *lossySink) Append(batch []amigo.Result) {
+	if len(batch) > 0 && batch[0].ME == s.me && s.lost.CompareAndSwap(false, true) {
+		return
+	}
+	s.MemorySink.Append(batch)
+}
+
+// TestRunFailsOnLostResults: a control plane that acknowledges an upload
+// and then loses it makes Run fail, naming the incomplete ME and how
+// many of its tasks are missing, instead of returning a short dataset.
+func TestRunFailsOnLostResults(t *testing.T) {
+	world := testWorld(t)
+	sink := &lossySink{MemorySink: amigo.NewMemorySink(), me: "me-GEO-1"}
+	_, hs := newControlServer(t, amigo.WithSink(sink))
+	// One worker and one lease batch per ME: the lost batch is me-GEO-1's
+	// whole schedule.
+	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: 1}
+	_, err := d.Run(world, chaosTestPlan())
+	if err == nil {
+		t.Fatal("Run succeeded although me-GEO-1's only upload was lost")
+	}
+	if !sink.lost.Load() {
+		t.Fatal("the sink never saw me-GEO-1's upload")
+	}
+	for _, want := range []string{"me-GEO-1 missing 12 of 12", "1/4 MEs"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	for _, complete := range []string{"me-PAK-0", "me-PAK-1", "me-GEO-0"} {
+		if strings.Contains(err.Error(), complete) {
+			t.Errorf("error %q names complete ME %s", err, complete)
 		}
 	}
 }

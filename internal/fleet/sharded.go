@@ -360,18 +360,3 @@ func (f *ShardedFleet) Close() error {
 	}
 	return first
 }
-
-// ReplayWALs reopens the WALs of a sharded deployment rooted at dir
-// and streams every durable result back, concatenated in shard order —
-// the post-crash recovery read. The sinks are opened read-only in
-// spirit (nothing is appended) and closed before returning.
-func ReplayWALs(dir string, shards int) ([]amigo.Result, error) {
-	var out []amigo.Result
-	var err error
-	for i := 0; i < shards; i++ {
-		if out, err = replayDirInto(out, ShardWALDir(dir, i)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}

@@ -182,7 +182,7 @@ func runShardCrashRecoveryCases(t *testing.T, mkClock func() vclock.Clock) {
 			if err := f.Close(); err != nil {
 				t.Fatal(err)
 			}
-			replayed, err := ReplayWALs(walDir, cfg.Shards)
+			replayed, err := ReplayLatestWALs(walDir)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -15,11 +14,10 @@ import (
 	"roamsim/internal/wire"
 )
 
-// maxBody bounds how much of a request body the gateway buffers for the
-// routing peek. It matches the largest legitimate upload (a full
-// campaign's worth of payloads is far smaller); anything bigger is
-// refused before a byte reaches a shard.
-const maxBody = 64 << 20
+// maxBody caps a request body on its way to a shard. No legitimate
+// body is larger than one maximal v3 frame; a longer one fails the
+// shard's decode (400) without being read past the cap.
+const maxBody = wire.HeaderLen + wire.MaxFrame
 
 // routes the gateway understands, in the order they appear in the
 // per-shard request counters.
@@ -67,13 +65,14 @@ func newTopology(backends []http.Handler, reg *obs.Registry) *topology {
 
 // Gateway fronts N shard backends with the single-server HTTP surface:
 // MEs talk to one base URL and never learn the topology. Every data-
-// plane request is routed whole to the ME's owning shard (no fan-out on
-// the hot path); the admin read routes merge across shards in canonical
-// shard-index order. The topology is swappable at runtime: SetBackend
-// replaces one shard's handler in place (the shard-kill recovery hook),
-// and Pause/Resume quiesce the whole data plane and install a new ring
-// — possibly with a different shard count — which is how a live reshard
-// goes atomic (see fleet.ShardedFleet.Reshard).
+// plane request, and POST /admin/schedule, is forwarded to the shard
+// that owns the ME its wire.MEHeader names (no fan-out on the hot path,
+// and no body read); the admin read routes merge across shards in
+// canonical shard-index order. The topology is swappable at runtime:
+// SetBackend replaces one shard's handler in place (the shard-kill
+// recovery hook), and Pause/Resume quiesce the whole data plane and
+// install a new ring — possibly with a different shard count — which is
+// how a live reshard goes atomic (see fleet.ShardedFleet.Reshard).
 type Gateway struct {
 	obs *obs.Registry
 	mux *http.ServeMux
@@ -180,13 +179,13 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
-	// Data plane: peek the ME, forward whole to its shard.
-	mux.HandleFunc("POST /v1/register", g.routeJSON(0))
-	mux.HandleFunc("POST /v1/status", g.routeJSON(1))
-	mux.HandleFunc("POST /v2/tasks/requeue", g.routeJSON(2))
-	mux.HandleFunc("POST /v3/tasks/lease", g.routeV3(3))
-	mux.HandleFunc("POST /v3/results", g.routeV3(4))
-	mux.HandleFunc("POST /admin/schedule", g.routeJSON(5))
+	// Data plane: forward to the shard the ME header names.
+	mux.HandleFunc("POST /v1/register", g.forward(0))
+	mux.HandleFunc("POST /v1/status", g.forward(1))
+	mux.HandleFunc("POST /v2/tasks/requeue", g.forward(2))
+	mux.HandleFunc("POST /v3/tasks/lease", g.forward(3))
+	mux.HandleFunc("POST /v3/results", g.forward(4))
+	mux.HandleFunc("POST /admin/schedule", g.forward(5))
 	// Admin read surface: merged views.
 	mux.HandleFunc("GET /admin/results", g.handleMergedResults)
 	mux.HandleFunc("GET /admin/mes", g.handleMergedMEs)
@@ -197,102 +196,24 @@ func (g *Gateway) buildMux() *http.ServeMux {
 	return mux
 }
 
-// forward dispatches the (body-rewound) request to me's shard. One
-// topology load covers both the placement and the backend, so a
-// concurrent swap can never route by one ring and serve from another.
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, me string, route int) {
-	t := g.topo.Load()
-	shard := t.ring.Shard(me)
-	t.reqs[shard][route].Inc()
-	t.backends[shard].ServeHTTP(w, r)
-}
-
-// bufferBody reads the whole request body (bounded) and rewinds the
-// request so the backend sees it untouched.
-func bufferBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
-	if err != nil {
-		http.Error(w, "reading body", http.StatusBadRequest)
-		return nil, false
-	}
-	if len(body) > maxBody {
-		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
-		return nil, false
-	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	r.ContentLength = int64(len(body))
-	return body, true
-}
-
-// jsonObjectME peeks {"me": ...} out of a JSON object body.
-func jsonObjectME(body []byte) (string, error) {
-	var obj struct {
-		ME string `json:"me"`
-	}
-	if err := json.Unmarshal(body, &obj); err != nil {
-		return "", err
-	}
-	return obj.ME, nil
-}
-
-// routeJSON buffers the body, peeks its {"me": ...}, and forwards. A
-// body the peek cannot parse is rejected here with 400 — the shard
-// would reject it identically, so nothing observable changes versus a
-// single server.
-func (g *Gateway) routeJSON(route int) http.HandlerFunc {
+// forward sends a data-plane request to the shard that owns the ME
+// named in its wire.MEHeader. The body is never read here, only capped,
+// so the owning shard's amigo handler decodes it and refuses a body
+// that names another ME. One topology load covers both the placement
+// and the backend, so a concurrent swap can never route by one ring
+// and serve from another.
+func (g *Gateway) forward(route int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, ok := bufferBody(w, r)
-		if !ok {
+		me := r.Header.Get(wire.MEHeader)
+		if me == "" {
+			http.Error(w, "missing "+wire.MEHeader+" header", http.StatusBadRequest)
 			return
 		}
-		me, err := jsonObjectME(body)
-		if err != nil {
-			http.Error(w, "bad request", http.StatusBadRequest)
-			return
-		}
-		g.forward(w, r, me, route)
-	}
-}
-
-// routeV3 peeks the ME out of a binary wire frame: the header names the
-// message type, and LeaseRequest.ME / the first upload record's ME
-// names the owning shard. Only the routing-relevant prefix is decoded
-// strictly here; the shard's handler decodes (and rejects) the full
-// frame as usual.
-func (g *Gateway) routeV3(route int) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		body, ok := bufferBody(w, r)
-		if !ok {
-			return
-		}
-		if len(body) < wire.HeaderLen {
-			http.Error(w, "short frame", http.StatusBadRequest)
-			return
-		}
-		h, err := wire.ParseHeader(body[:wire.HeaderLen])
-		if err != nil || len(body) != wire.HeaderLen+int(h.N) {
-			http.Error(w, "bad frame", http.StatusBadRequest)
-			return
-		}
-		payload := body[wire.HeaderLen:]
-		dec := wire.GetDecoder()
-		var me string
-		switch h.Type {
-		case wire.MsgLeaseRequest:
-			var req wire.LeaseRequest
-			req, err = dec.LeaseRequest(payload)
-			me = req.ME
-		case wire.MsgResults:
-			me, err = dec.FirstResultME(payload)
-		default:
-			err = fmt.Errorf("shard: unroutable frame type 0x%02x", h.Type)
-		}
-		wire.PutDecoder(dec)
-		if err != nil {
-			http.Error(w, "bad frame", http.StatusBadRequest)
-			return
-		}
-		g.forward(w, r, me, route)
+		r.Body = http.MaxBytesReader(w, r.Body, maxBody)
+		t := g.topo.Load()
+		shard := t.ring.Shard(me)
+		t.reqs[shard][route].Inc()
+		t.backends[shard].ServeHTTP(w, r)
 	}
 }
 

@@ -2,7 +2,7 @@ package shard
 
 // Resharding: rebuilding a sharded deployment's WAL set onto a
 // different ring size. The source WALs are replayed in shard order —
-// the same canonical concatenation fleet.ReplayWALs produces — and
+// the same canonical concatenation fleet.ReplayLatestWALs produces — and
 // every result is re-routed to the destination shard that owns its ME
 // under the destination ring. Placement is a pure function of (ME,
 // shard count), so the destination WAL set is exactly what a campaign

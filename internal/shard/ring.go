@@ -1,15 +1,16 @@
 // Package shard horizontally partitions the AmiGo control plane. A
 // consistent-hash Ring assigns each measurement endpoint (ME) to one of
 // N shards — each shard a full amigo.Server with its own registry,
-// queues and result sink — and a thin Gateway routes every protocol
-// request (JSON control calls and v3 binary frames) to the owning shard
-// by peeking the ME name out of the request, merging only the admin
-// read surface across shards.
+// queues and result sink — and a thin Gateway forwards every protocol
+// request to the owning shard by the ME its X-Amigo-ME header
+// (wire.MEHeader) names, without reading the body, merging only the
+// admin read surface across shards.
 //
 // Placement is a pure function of (ME name, shard count): the vnode
 // layout is fixed, the hash is FNV-1a finished with a splitmix64
-// avalanche (see ringHash), and no runtime state feeds the ring, so a fleet campaign routed through N shards executes the exact
-// same per-ME schedule as against one server — which is what makes the
+// avalanche (see ringHash), and no runtime state feeds the ring, so a
+// fleet campaign routed through N shards executes the exact same per-ME
+// schedule as against one server — which is what makes the
 // sharded dataset byte-identical to the single-server one
 // (TestShardedFleetEquivalence) and lets a restarted gateway re-derive
 // placement with no handoff protocol.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -67,6 +68,18 @@ func shardSet(t *testing.T, n int) (*Gateway, []*amigo.Server, *httptest.Server)
 	return gw, servers, hs
 }
 
+// postME POSTs body to url naming me in the wire.MEHeader, as every
+// amigo client does; the gateway routes by the header alone.
+func postME(url, me, contentType string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", contentType)
+	req.Header.Set(wire.MEHeader, me)
+	return http.DefaultClient.Do(req)
+}
+
 // driveME runs one ME through the full protocol via the gateway —
 // JSON register and schedule, v3 frame leases and uploads — and returns
 // its uploaded results.
@@ -74,7 +87,7 @@ func driveME(t *testing.T, baseURL, me string) []amigo.Result {
 	t.Helper()
 	ep := &amigo.Endpoint{Name: me, BaseURL: baseURL}
 	reg, _ := json.Marshal(map[string]string{"me": me, "country": me[:3]})
-	resp0, err := http.Post(baseURL+"/v1/register", "application/json", bytes.NewReader(reg))
+	resp0, err := postME(baseURL+"/v1/register", me, "application/json", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +100,7 @@ func driveME(t *testing.T, baseURL, me string) []amigo.Result {
 		{Kind: "speedtest", Config: "esim"},
 		{Kind: "dns", Target: "8.8.8.8", Config: "sim"},
 	}})
-	resp, err := http.Post(baseURL+"/admin/schedule", "application/json", bytes.NewReader(body))
+	resp, err := postME(baseURL+"/admin/schedule", me, "application/json", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +129,10 @@ func driveME(t *testing.T, baseURL, me string) []amigo.Result {
 	return out
 }
 
-// TestGatewayRoutesBothProtocols: the gateway peeks the ME out of both
-// body encodings it carries — JSON (register, schedule) and v3 frames
-// (lease, upload) — and every request for an ME lands on its ring shard.
+// TestGatewayRoutesBothProtocols: the gateway routes both body
+// encodings it carries — JSON (register, schedule) and v3 frames
+// (lease, upload) — by the ME header, and every request for an ME lands
+// on its ring shard.
 func TestGatewayRoutesBothProtocols(t *testing.T) {
 	gw, servers, hs := shardSet(t, 4)
 	mes := []string{"PAK-00", "PAK-01", "GEO-00", "GEO-01", "USA-00", "USA-01"}
@@ -263,7 +277,7 @@ func TestGatewaySetBackendSwapsLive(t *testing.T) {
 	fresh := amigo.NewServer(nil)
 	gw.SetBackend(shard, Mount(fresh.Handler(), fresh.AdminHandler()))
 	body := wire.AppendLeaseRequest(nil, wire.LeaseRequest{ME: me, Max: 1})
-	resp, err := http.Post(hs.URL+"/v3/tasks/lease", wire.ContentType, bytes.NewReader(body))
+	resp, err := postME(hs.URL+"/v3/tasks/lease", me, wire.ContentType, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,6 +323,8 @@ func TestGatewayRetiredRoutesGone(t *testing.T) {
 	}
 }
 
+// TestGatewayV3BadFrames: malformed frames carrying a valid ME header
+// reach the owning shard, whose decoder rejects them with 400.
 func TestGatewayV3BadFrames(t *testing.T) {
 	_, _, hs := shardSet(t, 2)
 	for _, tc := range []struct {
@@ -320,13 +336,79 @@ func TestGatewayV3BadFrames(t *testing.T) {
 		{"garbage", bytes.Repeat([]byte{0xff}, 32)},
 		{"tasks-frame", wire.AppendTasks(nil, []wire.Task{{ID: 1, Kind: "dns", Config: "sim"}})},
 	} {
-		resp, err := http.Post(hs.URL+"/v3/results", wire.ContentType, bytes.NewReader(tc.body))
+		resp, err := postME(hs.URL+"/v3/results", "PAK-00", wire.ContentType, tc.body)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: HTTP %d, want 400", tc.name, resp.StatusCode)
+		}
+	}
+}
+
+// fill is an endless stream of one byte, for bodies too big to build.
+type fill byte
+
+func (f fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestGatewayRefusesUnroutable: a POST without the ME header cannot be
+// placed, and a body over the cap is cut off at it; both answer 4xx
+// and no shard stores anything.
+func TestGatewayRefusesUnroutable(t *testing.T) {
+	_, servers, hs := shardSet(t, 2)
+	driveME(t, hs.URL, "PAK-00")
+	state := func() string {
+		var b strings.Builder
+		for i, srv := range servers {
+			fmt.Fprintf(&b, "shard %d: %v %+v\n", i, srv.MEs(), srv.Results())
+		}
+		return b.String()
+	}
+	before := state()
+
+	upload := wire.AppendResults(nil, []amigo.Result{{TaskID: 1, ME: "PAK-00", Kind: "dns", Config: "sim", OK: true}})
+	register := []byte(`{"me":"PAK-01","country":"PAK"}`)
+	schedule := []byte(`{"me":"PAK-00","kind":"dns","config":"sim"}`)
+	pad := func() io.Reader { return io.LimitReader(fill(' '), maxBody) }
+	for _, tc := range []struct {
+		name, path, contentType, me string
+		body                        io.Reader
+		size                        int64
+	}{
+		{"register without header", "/v1/register", "application/json", "",
+			bytes.NewReader(register), int64(len(register))},
+		{"schedule without header", "/admin/schedule", "application/json", "",
+			bytes.NewReader(schedule), int64(len(schedule))},
+		{"upload without header", "/v3/results", wire.ContentType, "",
+			bytes.NewReader(upload), int64(len(upload))},
+		{"register over the cap", "/v1/register", "application/json", "PAK-01",
+			io.MultiReader(bytes.NewReader(register[:len(register)-1]), pad(), strings.NewReader("}")),
+			int64(len(register)) + maxBody},
+		{"upload over the cap", "/v3/results", wire.ContentType, "PAK-00",
+			io.MultiReader(bytes.NewReader(upload), pad()), int64(len(upload)) + maxBody},
+	} {
+		req, _ := http.NewRequest(http.MethodPost, hs.URL+tc.path, tc.body)
+		req.ContentLength = tc.size
+		req.Header.Set("Content-Type", tc.contentType)
+		if tc.me != "" {
+			req.Header.Set(wire.MEHeader, tc.me)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Errorf("%s: HTTP %d, want 4xx", tc.name, resp.StatusCode)
+		}
+		if after := state(); after != before {
+			t.Fatalf("%s changed shard state:\nbefore:\n%s\nafter:\n%s", tc.name, before, after)
 		}
 	}
 }

@@ -374,33 +374,6 @@ func (d *Decoder) result(rec []byte, res *Result) error {
 	return nil
 }
 
-// FirstResultME returns the ME name of the first record in a
-// MsgResults payload without decoding the whole batch — the shard
-// gateway's routing peek: one upload batch always belongs to a single
-// ME, so the first record names the owning shard. An empty batch
-// returns "". The decode of that first record is as strict as Results;
-// the remaining records are not validated here (the target shard's
-// handler decodes the full frame).
-func (d *Decoder) FirstResultME(payload []byte) (string, error) {
-	r := reader{b: payload}
-	n, err := r.count()
-	if err != nil {
-		return "", err
-	}
-	if n == 0 {
-		return "", nil
-	}
-	rec, err := r.record()
-	if err != nil {
-		return "", err
-	}
-	var res Result
-	if err := d.result(rec, &res); err != nil {
-		return "", err
-	}
-	return res.ME, nil
-}
-
 // ReadFrame reads exactly one frame from rd: the fixed header, then a
 // payload of the header-declared length into buf (grown once if its
 // capacity is short — pass a pooled buffer re-sliced to [:0] and the

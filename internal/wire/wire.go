@@ -112,6 +112,12 @@ const (
 // client gets a typed refusal instead of a decode error.
 const ContentType = "application/vnd.amigo.v3"
 
+// MEHeader names the measurement endpoint a control-plane request is
+// about. It rides in the envelope so that a router can place a request
+// without reading its body; the amigo handlers answer 400 when it names
+// a different ME than the body does.
+const MEHeader = "X-Amigo-ME"
+
 // Field tags. Tags are per-message-type namespaces; within a record
 // they must appear in strictly ascending order.
 const (

@@ -8,7 +8,7 @@
 #
 # The snapshot also records the sharded-gateway ratio at 1000 MEs — the
 # v3-shards4 row is the same drain through the 4-shard consistent-hash
-# gateway, so the ratio prices the routing peek + proxy hop.
+# gateway, so the ratio prices the header-routed proxy hop.
 #
 # It also runs the same realized 1000-ME campaign twice through
 # roam-fleet — once on the wall clock, once on the virtual clock — and
